@@ -26,9 +26,7 @@ use uvacg::{
     CampusGrid, FastestAvailable, GridConfig, LeastLoaded, MetricsFeedback, Random, RoundRobin,
     SchedulingPolicy,
 };
-use ws_notification::broker::{
-    notification_broker, notification_broker_with, publish, subscribe, BrokerConfig,
-};
+use ws_notification::broker::{notification_broker, publish, subscribe};
 use ws_notification::consumer::NotificationListener;
 use ws_notification::message::NotificationMessage;
 use ws_notification::producer::NotificationProducer;
@@ -39,7 +37,8 @@ use wsrf_core::DurableStore;
 use wsrf_obs::{EventKind, MetricsRegistry, ObsConfig, Severity, TraceConfig};
 use wsrf_soap::ns::{UVACG, WSRP};
 use wsrf_soap::{EndpointReference, Envelope, MessageInfo, TraceContext};
-use wsrf_transport::http::{http_get, HttpLimits, HttpSoapServer};
+use wsrf_transport::http::{http_get, HttpSoapServer};
+use wsrf_transport::server::ServerConfig;
 use wsrf_transport::{FnEndpoint, InProcNetwork, NetConfig};
 use wsrf_xml::Element;
 
@@ -1187,32 +1186,21 @@ fn fmt_lat(d: Duration) -> String {
     }
 }
 
-/// One E13 arm: `n_subs` subscriptions spread over `n_subs/100` topic
+/// One E13 run: `n_subs` subscriptions spread over `n_subs/100` topic
 /// roots, driven open-loop with Poisson arrivals at `lambda`/s.
 /// Latency is measured against each publish's *scheduled* arrival, so
 /// a fan-out path slower than the arrival rate shows its queueing
 /// backlog instead of hiding it (closed-loop timing would slow the
 /// generator down to match).
-fn e13_arm(
-    n_subs: usize,
-    sharded: bool,
-    publishes: usize,
-    lambda: f64,
-) -> (f64, Duration, Duration, Duration) {
+fn e13_run(n_subs: usize, publishes: usize, lambda: f64) -> (f64, Duration, Duration, Duration) {
     let clock = Clock::manual();
     let net = InProcNetwork::new(clock.clone());
-    let config = if sharded {
-        BrokerConfig::default()
-    } else {
-        BrokerConfig::rescan()
-    };
-    let broker = notification_broker_with(
+    let broker = notification_broker(
         "Broker",
         "inproc://hub/Broker",
         Arc::new(MemoryStore::new()),
         clock,
         net.clone(),
-        config,
     );
     broker.register(&net);
     let bepr = broker.core().service_epr();
@@ -1234,7 +1222,9 @@ fn e13_arm(
         })
         .collect();
 
-    let mut rng = SplitMix(0xE13 ^ n_subs as u64 ^ ((sharded as u64) << 32));
+    // Same arrival stream the sharded rows of the recorded E13 table
+    // used (their seed carried an arm bit at 1 << 32).
+    let mut rng = SplitMix(0xE13 ^ n_subs as u64 ^ (1 << 32));
     let mut sched = 0.0f64;
     let mut lats: Vec<Duration> = Vec::with_capacity(publishes);
     let t0 = Instant::now();
@@ -1271,7 +1261,7 @@ fn e13_arm(
     )
 }
 
-/// E13 — open-loop broker load: sharded index vs legacy store rescan.
+/// E13 — open-loop broker load on the sharded subscription index.
 /// `smoke` runs the 1k-subscription row only (tier-1 CI).
 fn e13_broker_openloop(smoke: bool) {
     const LAMBDA: f64 = 500.0; // publishes/s, 2 ms mean interarrival
@@ -1280,47 +1270,23 @@ fn e13_broker_openloop(smoke: bool) {
     } else {
         &[1_000, 10_000, 100_000]
     };
+    let publishes = if smoke { 300 } else { 1_000 };
     let mut rows = Vec::new();
     for &n in scales {
-        for sharded in [false, true] {
-            // The rescan arm's per-publish cost grows with n; fewer
-            // publishes keep its (deliberately pathological) backlog
-            // measurable in bounded wall time.
-            let publishes = match (sharded, n) {
-                (true, _) => {
-                    if smoke {
-                        300
-                    } else {
-                        1_000
-                    }
-                }
-                (false, 1_000) => {
-                    if smoke {
-                        300
-                    } else {
-                        1_000
-                    }
-                }
-                (false, 10_000) => 200,
-                (false, _) => 40,
-            };
-            let (thru, p50, p99, p999) = e13_arm(n, sharded, publishes, LAMBDA);
-            rows.push(vec![
-                n.to_string(),
-                if sharded { "sharded" } else { "rescan" }.into(),
-                publishes.to_string(),
-                format!("{thru:.0}/s"),
-                fmt_lat(p50),
-                fmt_lat(p99),
-                fmt_lat(p999),
-            ]);
-        }
+        let (thru, p50, p99, p999) = e13_run(n, publishes, LAMBDA);
+        rows.push(vec![
+            n.to_string(),
+            publishes.to_string(),
+            format!("{thru:.0}/s"),
+            fmt_lat(p50),
+            fmt_lat(p99),
+            fmt_lat(p999),
+        ]);
     }
     print_table(
         "E13 — open-loop broker fan-out (Poisson arrivals, 500 publishes/s, ~100 subscriptions per topic root)",
         &[
             "subscriptions",
-            "path",
             "publishes",
             "deliveries",
             "p50",
@@ -1336,7 +1302,7 @@ fn e13_broker_openloop(smoke: bool) {
 /// cost the events-off path < 5%), the per-op prices of the two new
 /// write paths (event emit, SLO record), and what a scrape costs —
 /// both the in-process render and the end-to-end HTTP GET against a
-/// live `start_monitored` server.
+/// live server whose registry is enabled.
 fn e14_monitoring() {
     let mut rows = Vec::new();
 
@@ -1439,13 +1405,13 @@ fn e14_monitoring() {
         format!("/metrics.json render ({n_metrics} metrics)"),
         fmt_us(t),
     ]);
-    let server = HttpSoapServer::start_monitored(
-        Arc::new(FnEndpoint::new("bench", Some)),
-        &grid.metrics,
-        grid.clock.clone(),
-        HttpLimits::default(),
-    )
-    .expect("bind exposition server");
+    let config = ServerConfig {
+        metrics: grid.metrics.clone(),
+        clock: grid.clock.clone(),
+        ..ServerConfig::default()
+    };
+    let server = HttpSoapServer::start_with(Arc::new(FnEndpoint::new("bench", Some)), &config)
+        .expect("bind exposition server");
     let authority = server.authority();
     for path in ["/metrics.json", "/healthz"] {
         let t = time_median(50, || {
@@ -1487,13 +1453,13 @@ fn monitor_smoke() {
         .submit(&shaped_spec("chain", 2), "griduser", "gridpass")
         .unwrap();
     drive(&grid, &handle, 2000);
-    let server = HttpSoapServer::start_monitored(
-        Arc::new(FnEndpoint::new("smoke", Some)),
-        &grid.metrics,
-        grid.clock.clone(),
-        HttpLimits::default(),
-    )
-    .expect("bind exposition server");
+    let config = ServerConfig {
+        metrics: grid.metrics.clone(),
+        clock: grid.clock.clone(),
+        ..ServerConfig::default()
+    };
+    let server = HttpSoapServer::start_with(Arc::new(FnEndpoint::new("smoke", Some)), &config)
+        .expect("bind exposition server");
     let authority = server.authority();
     let (code, prom) = http_get(&authority, "/metrics").expect("GET /metrics");
     assert_eq!(code, 200, "/metrics status");

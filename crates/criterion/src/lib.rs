@@ -15,14 +15,9 @@ use std::time::{Duration, Instant};
 /// E1–E10 suite stays fast in CI.
 const TARGET_WINDOW: Duration = Duration::from_millis(60);
 
+#[derive(Default)]
 pub struct Criterion {
     _private: (),
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion { _private: () }
-    }
 }
 
 impl Criterion {

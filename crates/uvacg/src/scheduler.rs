@@ -137,8 +137,11 @@ struct SchedInner {
     crashed: AtomicBool,
     /// Invoked after every recorded Figure 3 step; the chaos harness
     /// uses it to crash the primary at an exact protocol point.
-    step_hook: RwLock<Option<Arc<dyn Fn(u8, &str) + Send + Sync>>>,
+    step_hook: RwLock<Option<StepHook>>,
 }
+
+/// A Figure 3 step observer: `(step, job)`.
+type StepHook = Arc<dyn Fn(u8, &str) + Send + Sync>;
 
 impl SchedInner {
     fn is_crashed(&self) -> bool {

@@ -70,11 +70,6 @@ fn p_paused() -> QName {
 /// Tunables of the broker fan-out path.
 #[derive(Clone)]
 pub struct BrokerConfig {
-    /// Match publishes against the sharded subscription index
-    /// (default). `false` keeps the legacy rescan path — `store.list`
-    /// + `store.load` + re-parse of every subscription per publish —
-    /// as the A/B arm of the E13 open-loop experiment.
-    pub sharded: bool,
     /// Worker threads draining per-consumer delivery queues on
     /// non-manual clocks (manual-clock delivery stays inline).
     pub delivery_workers: usize,
@@ -93,21 +88,10 @@ pub struct BrokerConfig {
 impl Default for BrokerConfig {
     fn default() -> Self {
         BrokerConfig {
-            sharded: true,
             delivery_workers: 4,
             autopause_after: 3,
             current_cache_cap: 512,
             topic_root_cap: 64,
-        }
-    }
-}
-
-impl BrokerConfig {
-    /// The legacy store-rescan fan-out (benchmark comparison arm).
-    pub fn rescan() -> Self {
-        BrokerConfig {
-            sharded: false,
-            ..BrokerConfig::default()
         }
     }
 }
@@ -559,8 +543,7 @@ impl DeliveryFabric {
 
 /// Everything the broker's operation closures share.
 struct BrokerState {
-    /// `Some` on the sharded path, `None` on the legacy rescan arm.
-    index: Option<Arc<SubscriptionIndex>>,
+    index: Arc<SubscriptionIndex>,
     fabric: Arc<DeliveryFabric>,
     current: Mutex<CurrentCache>,
     cache_size: Gauge,
@@ -598,26 +581,19 @@ pub fn notification_broker_with(
     config: BrokerConfig,
 ) -> Arc<Service> {
     let registry = net.metrics_registry().clone();
-    let index = config.sharded.then(|| {
-        Arc::new(SubscriptionIndex::new(
-            registry.gauge("broker.index.subscriptions"),
-        ))
+    let index = Arc::new(SubscriptionIndex::new(
+        registry.gauge("broker.index.subscriptions"),
+    ));
+    let effective_store: Arc<dyn ResourceStore> = Arc::new(IndexingStore {
+        inner: store,
+        service: name.to_string(),
+        index: index.clone(),
     });
-    let effective_store: Arc<dyn ResourceStore> = match &index {
-        Some(ix) => Arc::new(IndexingStore {
-            inner: store,
-            service: name.to_string(),
-            index: ix.clone(),
-        }),
-        None => store,
-    };
     // A durable store may already hold subscriptions from a previous
     // incarnation; seed the index so they match immediately.
-    if let Some(ix) = &index {
-        for key in effective_store.list(name) {
-            if let Ok(doc) = effective_store.load(name, &key) {
-                ix.upsert(&key, &doc);
-            }
+    for key in effective_store.list(name) {
+        if let Ok(doc) = effective_store.load(name, &key) {
+            index.upsert(&key, &doc);
         }
     }
     let fabric = Arc::new(DeliveryFabric {
@@ -808,83 +784,45 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
     // once (its earliest subscription wins).
     let mut seen: Vec<HashSet<String>> = vec![HashSet::new(); messages.len()];
 
-    match &state.index {
-        Some(index) => {
-            // Union of matching entries across the batch, in
-            // subscription order (keys are "<svc>-<n>"): consumers that
-            // subscribed earlier hear about an event before consumers
-            // whose handling might publish *further* events, which
-            // keeps client-visible causality intact on the inline test
-            // network.
-            let mut matched: Vec<Arc<CompiledSub>> = Vec::new();
-            for m in &messages {
-                matched.extend(index.matching(&m.topic));
+    // Union of matching entries across the batch, in subscription
+    // order (keys are "<svc>-<n>"): consumers that subscribed earlier
+    // hear about an event before consumers whose handling might
+    // publish *further* events, which keeps client-visible causality
+    // intact on the inline test network.
+    let mut matched: Vec<Arc<CompiledSub>> = Vec::new();
+    for m in &messages {
+        matched.extend(state.index.matching(&m.topic));
+    }
+    matched.sort_by(|a, b| (a.key.len(), &a.key).cmp(&(b.key.len(), &b.key)));
+    matched.dedup_by(|a, b| a.key == b.key);
+    // Manual clocks deliver inline and synchronously — the
+    // deterministic test network depends on it. Scaled and realtime
+    // clocks hand deliveries to per-consumer queues drained by the
+    // worker pool.
+    let inline = core.clock.is_manual();
+    for sub in &matched {
+        for (i, m) in messages.iter().enumerate() {
+            if !sub.expr.matches(&m.topic) || !sub.live() {
+                continue;
             }
-            matched.sort_by(|a, b| (a.key.len(), &a.key).cmp(&(b.key.len(), &b.key)));
-            matched.dedup_by(|a, b| a.key == b.key);
-            // Manual clocks deliver inline and synchronously — the
-            // deterministic test network depends on it. Scaled and
-            // realtime clocks hand deliveries to per-consumer queues
-            // drained by the worker pool.
-            let inline = core.clock.is_manual();
-            for sub in &matched {
-                for (i, m) in messages.iter().enumerate() {
-                    if !sub.expr.matches(&m.topic) || !sub.live() {
-                        continue;
-                    }
-                    if !seen[i].insert(sub.consumer.address.clone()) {
-                        coalesced += 1;
-                        continue;
-                    }
-                    state.topic_deliveries.counter(m.topic.root()).inc();
-                    if inline {
-                        match state.fabric.send_now(sub, m, trace) {
-                            SendOutcome::Delivered => delivered += 1,
-                            SendOutcome::Failed => failed += 1,
-                            SendOutcome::Skipped => {}
-                        }
-                    } else {
-                        state.fabric.enqueue(Delivery {
-                            sub: sub.clone(),
-                            msg: m.clone(),
-                            trace,
-                        });
-                        delivered += 1;
-                    }
-                }
+            if !seen[i].insert(sub.consumer.address.clone()) {
+                coalesced += 1;
+                continue;
             }
-        }
-        None => {
-            // Legacy rescan arm: re-derive the subscriber set from the
-            // store on every publish (kept as the E13 baseline).
-            let mut keys = core.store.list(&core.name);
-            keys.sort_by_key(|k| (k.len(), k.clone()));
-            for key in keys {
-                let Ok(doc) = core.store.load(&core.name, &key) else {
-                    continue;
-                };
-                let Some(sub) = CompiledSub::compile(&key, &doc) else {
-                    continue;
-                };
-                if !sub.live() {
-                    continue;
+            state.topic_deliveries.counter(m.topic.root()).inc();
+            if inline {
+                match state.fabric.send_now(sub, m, trace) {
+                    SendOutcome::Delivered => delivered += 1,
+                    SendOutcome::Failed => failed += 1,
+                    SendOutcome::Skipped => {}
                 }
-                for m in &messages {
-                    if sub.expr.matches(&m.topic) {
-                        state.topic_deliveries.counter(m.topic.root()).inc();
-                        let mut env = m.to_envelope(&sub.consumer);
-                        if let Some(tc) = &trace {
-                            tc.stamp(&mut env);
-                        }
-                        match core.net.send_oneway(&sub.consumer.address, env) {
-                            Ok(()) => delivered += 1,
-                            Err(_) => {
-                                failed += 1;
-                                state.fabric.failures.inc();
-                            }
-                        }
-                    }
-                }
+            } else {
+                state.fabric.enqueue(Delivery {
+                    sub: sub.clone(),
+                    msg: m.clone(),
+                    trace,
+                });
+                delivered += 1;
             }
         }
     }
@@ -1098,32 +1036,6 @@ mod tests {
             sched.received()[0].producer.as_ref().unwrap().address,
             "inproc://m1/Exec"
         );
-    }
-
-    #[test]
-    fn rescan_arm_multicasts_identically() {
-        let f = fixture_with(BrokerConfig::rescan());
-        let a = NotificationListener::register(&f.net, "inproc://a/l");
-        let b = NotificationListener::register(&f.net, "inproc://b/l");
-        subscribe(
-            &f.net,
-            &f.broker_epr,
-            &a.epr(),
-            &TopicExpression::full("js-1//"),
-            None,
-        )
-        .unwrap();
-        subscribe(
-            &f.net,
-            &f.broker_epr,
-            &b.epr(),
-            &TopicExpression::full("js-2//"),
-            None,
-        )
-        .unwrap();
-        publish(&f.net, &f.broker_epr, &msg("js-1/job/exit")).unwrap();
-        assert_eq!(a.count(), 1);
-        assert_eq!(b.count(), 0);
     }
 
     #[test]

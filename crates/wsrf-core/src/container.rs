@@ -20,11 +20,12 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use simclock::{Clock, SimTime, TimerId};
 use wsrf_obs::{
-    Counter, EventKind, EventLog, Histogram, MetricsRegistry, Severity, SloHandle, SpanContext,
-    Timer, Tracer,
+    scoped_parent, Counter, EventKind, EventLog, Histogram, MetricsRegistry, Severity, SloHandle,
+    SpanContext, Timer, Tracer,
 };
 use wsrf_soap::{
-    ns, BaseFault, EndpointReference, Envelope, LazyEnvelope, MessageInfo, SoapFault, TraceContext,
+    ns, BaseFault, EndpointReference, Envelope, LazyEnvelope, MessageInfo, ScanError, SoapFault,
+    TraceContext,
 };
 use wsrf_transport::{Endpoint, InProcNetwork};
 use wsrf_xml::{Element, QName};
@@ -486,7 +487,11 @@ impl DispatchObs {
 
     /// Should this dispatch time its stages?
     fn sample_stages(&self) -> bool {
-        self.enabled && self.sample_tick.fetch_add(1, Ordering::Relaxed) % STAGE_SAMPLE_EVERY == 0
+        self.enabled
+            && self
+                .sample_tick
+                .fetch_add(1, Ordering::Relaxed)
+                .is_multiple_of(STAGE_SAMPLE_EVERY)
     }
 }
 
@@ -580,7 +585,7 @@ impl Service {
             }
             // Addressing-shaped problems fault exactly like the DOM
             // pipeline's MessageInfo::extract stage...
-            Err(e) if e.message == "message has no wsa:Action header" => {
+            Err(e @ ScanError::MissingAction) => {
                 self.obs.dispatches.inc();
                 let started = self.obs.enabled.then(std::time::Instant::now);
                 let fault = faults::bad_request(&format!("bad addressing headers: {e}"));
@@ -588,7 +593,9 @@ impl Service {
             }
             // ...while unparseable wires mirror the fault the DOM-path
             // transports produced themselves before dispatch.
-            Err(e) => SoapFault::client(format!("unparseable envelope: {e}")).to_envelope(),
+            Err(ScanError::Xml(e)) => {
+                SoapFault::client(format!("unparseable envelope: {e}")).to_envelope()
+            }
         }
     }
 
@@ -689,14 +696,15 @@ impl Service {
         // header scan and a branch even with tracing enabled, and
         // untraced background chatter can never evict job-set trees
         // from the bounded span ring. The guard finishes (after the
-        // save stage) on every exit path.
+        // save stage) on every exit path. A socket server's hop span,
+        // when it offers one, stands in for the header's parent.
         let mut span = match incoming {
             Some(tc) if self.tracer.is_enabled() => Some(self.tracer.start_child(
-                SpanContext {
+                scoped_parent(SpanContext {
                     trace_id: tc.trace_id,
                     span_id: tc.span_id,
                     sampled: tc.sampled,
-                },
+                }),
                 op.span_name.clone(),
                 self.label.clone(),
                 &self.core.clock,

@@ -43,7 +43,10 @@ pub mod tracing;
 pub use events::{Event, EventKind, EventLog, Severity};
 pub use expose::{LenSink, MetricSink};
 pub use slo::{SloConfig, SloHandle, SloHealth, SloTracker};
-pub use tracing::{ActiveSpan, FinishedSpan, SpanContext, TraceConfig, TraceSnapshot, Tracer};
+pub use tracing::{
+    scoped_parent, with_scoped_parent, ActiveSpan, FinishedSpan, SpanContext, TraceConfig,
+    TraceSnapshot, Tracer,
+};
 
 /// Number of log-scale buckets: one per bit of a `u64` nanosecond
 /// value (bucket 63 absorbs everything ≥ 2^63).
@@ -1011,14 +1014,15 @@ mod tests {
         // Recorded values land where the index math says they do.
         let reg = MetricsRegistry::enabled();
         let h = reg.histogram("b");
-        for v in [0u64, 1, 2, 3, 1023, 1024, 1025] {
+        let values = [0u64, 1, 2, 3, 1023, 1024, 1025];
+        for v in values {
             h.record(v);
         }
         let stats = h.stats();
         assert_eq!(stats.count, 7);
         assert_eq!(stats.min, 0);
         assert_eq!(stats.max, 1025);
-        assert_eq!(stats.sum, 0 + 1 + 2 + 3 + 1023 + 1024 + 1025);
+        assert_eq!(stats.sum, values.iter().sum::<u64>());
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! nanoseconds from [`simclock::Clock`] (what the simulation says
 //! happened) and real nanoseconds (what the host spent).
 
+use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -405,6 +406,36 @@ impl Drop for ActiveSpan {
     }
 }
 
+thread_local! {
+    static SCOPED_PARENT: Cell<Option<SpanContext>> = const { Cell::new(None) };
+}
+
+/// Run `f` with `parent` offered as the parent of the first span
+/// opened on this thread in the same trace (see [`scoped_parent`]).
+/// A socket server uses this to slot its hop span between the caller's
+/// header and the dispatch it runs, without re-stamping the request.
+/// The offer is withdrawn when `f` returns, taken or not.
+pub fn with_scoped_parent<R>(parent: SpanContext, f: impl FnOnce() -> R) -> R {
+    SCOPED_PARENT.with(|c| c.set(Some(parent)));
+    let out = f();
+    SCOPED_PARENT.with(|c| c.set(None));
+    out
+}
+
+/// The parent for a span whose incoming header says `header`: this
+/// thread's offered parent if it belongs to the same trace, else the
+/// header itself. Taking consumes the offer, so spans opened later in
+/// the same request (a nested dispatch) parent under their own caller.
+pub fn scoped_parent(header: SpanContext) -> SpanContext {
+    SCOPED_PARENT.with(|c| match c.get() {
+        Some(p) if p.trace_id == header.trace_id => {
+            c.set(None);
+            p
+        }
+        _ => header,
+    })
+}
+
 /// A point-in-time copy of finished spans, renderable as a text tree
 /// or JSON (mirrors [`crate::MetricsSnapshot`]).
 #[derive(Debug, Clone, Default)]
@@ -773,5 +804,23 @@ mod tests {
         let mut len = crate::LenSink::default();
         t.snapshot().write_chrome_into(&mut len);
         assert_eq!(len.0, json.len());
+    }
+
+    #[test]
+    fn scoped_parent_is_taken_once_and_only_by_its_trace() {
+        let ctx = |trace_id, span_id| SpanContext {
+            trace_id,
+            span_id,
+            sampled: true,
+        };
+        let hop = ctx(7, 70);
+        let taken = with_scoped_parent(hop, || {
+            assert_eq!(scoped_parent(ctx(8, 1)), ctx(8, 1), "other trace");
+            (scoped_parent(ctx(7, 1)), scoped_parent(ctx(7, 2)))
+        });
+        assert_eq!(taken, (hop, ctx(7, 2)));
+        // An untaken offer is withdrawn when the scope ends.
+        with_scoped_parent(hop, || {});
+        assert_eq!(scoped_parent(ctx(7, 1)), ctx(7, 1));
     }
 }

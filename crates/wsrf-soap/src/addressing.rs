@@ -133,6 +133,9 @@ pub struct MessageInfo {
     pub relates_to: Option<String>,
 }
 
+/// The error text for an envelope without a `wsa:Action` header.
+pub(crate) const MISSING_ACTION: &str = "message has no wsa:Action header";
+
 impl MessageInfo {
     /// Headers for a request to `to` invoking `action`.
     pub fn request(to: EndpointReference, action: impl Into<String>) -> Self {
@@ -210,7 +213,7 @@ impl MessageInfo {
             }
         }
         if info.action.is_empty() {
-            return Err(XmlError::new("message has no wsa:Action header"));
+            return Err(XmlError::new(MISSING_ACTION));
         }
         Ok(info)
     }

@@ -26,12 +26,43 @@
 //! promoted to reference properties, and the trace-context header
 //! never becomes one.
 
+use std::fmt;
 use std::sync::Arc;
 
 use wsrf_xml::{Element, Event, PullParser, QName, XmlError};
 
-use crate::addressing::{EndpointReference, MessageInfo, TraceContext};
+use crate::addressing::{EndpointReference, MessageInfo, TraceContext, MISSING_ACTION};
 use crate::ns;
+
+/// Why [`LazyEnvelope::scan`] rejected a wire document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScanError {
+    /// The document is not a well-formed SOAP envelope.
+    Xml(XmlError),
+    /// A well-formed envelope without a `wsa:Action` header: an
+    /// addressing fault, not a parse failure.
+    MissingAction,
+}
+
+impl From<XmlError> for ScanError {
+    fn from(e: XmlError) -> Self {
+        ScanError::Xml(e)
+    }
+}
+
+impl fmt::Display for ScanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScanError::Xml(e) => e.fmt(f),
+            // Reads exactly like MessageInfo::extract's error.
+            ScanError::MissingAction => XmlError::new(MISSING_ACTION).fmt(f),
+        }
+    }
+}
+
+/// The body's operation element as the scan leaves it: resolved name,
+/// raw wire span, and the namespace bindings in scope at the span.
+type BodySpan<'a> = (QName, &'a str, Vec<(String, Option<Arc<str>>)>);
 
 /// A header-routed view of a received envelope whose body DOM has not
 /// been built.
@@ -56,7 +87,7 @@ impl<'a> LazyEnvelope<'a> {
     /// Scan a wire document, routing on headers and deferring the
     /// body. Errors mirror [`crate::Envelope::parse`] +
     /// [`MessageInfo::extract`] on the same inputs.
-    pub fn scan(wire: &'a str) -> Result<LazyEnvelope<'a>, XmlError> {
+    pub fn scan(wire: &'a str) -> Result<LazyEnvelope<'a>, ScanError> {
         let mut p = PullParser::new(wire);
         match p.next_event()? {
             Some(Event::Start { ns, local }) if is(&ns, local, ns::SOAP_ENV, "Envelope") => {}
@@ -64,16 +95,17 @@ impl<'a> LazyEnvelope<'a> {
                 return Err(XmlError::new(format!(
                     "expected soap:Envelope, found {}",
                     clark(&ns, local)
-                )));
+                ))
+                .into());
             }
             // The tokenizer errors before yielding anything else first.
-            _ => return Err(XmlError::new("expected soap:Envelope")),
+            _ => return Err(XmlError::new("expected soap:Envelope").into()),
         }
 
         let mut info = MessageInfo::default();
         let mut trace = None;
         let mut headers = Vec::new();
-        let mut body: Option<(QName, &'a str, Vec<(String, Option<Arc<str>>)>)> = None;
+        let mut body: Option<BodySpan<'a>> = None;
         let mut seen_header = false;
         let mut seen_body = false;
 
@@ -104,12 +136,13 @@ impl<'a> LazyEnvelope<'a> {
                 "element <{{{}}}Envelope> is missing required child {{{}}}Body",
                 ns::SOAP_ENV,
                 ns::SOAP_ENV
-            )));
+            ))
+            .into());
         }
         let (body_name, body_span, body_scope) =
             body.ok_or_else(|| XmlError::new("soap:Body must contain one element"))?;
         if info.action.is_empty() {
-            return Err(XmlError::new("message has no wsa:Action header"));
+            return Err(ScanError::MissingAction);
         }
         Ok(LazyEnvelope {
             info,
@@ -146,6 +179,36 @@ impl<'a> LazyEnvelope<'a> {
         match p.next_event()? {
             Some(Event::Start { .. }) => p.build_element(),
             _ => Err(XmlError::new("deferred body span is not an element")),
+        }
+    }
+}
+
+/// Decode only the `{uvacg}TraceContext` header of a wire document,
+/// reading no further than the end of the first `<soap:Header>`. A
+/// socket server reads this to open its hop span before it hands the
+/// wire to the endpoint. Duplicates resolve last-wins, as in
+/// [`LazyEnvelope::scan`]; untraced or malformed input gives `None`.
+pub fn scan_trace(wire: &str) -> Option<TraceContext> {
+    let mut p = PullParser::new(wire);
+    match p.next_event().ok()?? {
+        Event::Start { ns, local } if is(&ns, local, ns::SOAP_ENV, "Envelope") => {}
+        _ => return None,
+    }
+    let (mut in_header, mut trace) = (false, None);
+    loop {
+        match p.next_event().ok()?? {
+            Event::Start { ns, local } if !in_header && is(&ns, local, ns::SOAP_ENV, "Header") => {
+                in_header = true;
+            }
+            Event::Start { ns, local }
+                if in_header && is(&ns, local, ns::UVACG, TraceContext::HEADER_LOCAL) =>
+            {
+                trace = TraceContext::parse(&p.collect_text().ok()?);
+            }
+            Event::Start { .. } => p.skip_element().ok()?,
+            Event::Text(_) => {}
+            // The end of the header block, or of a headerless envelope.
+            Event::End => return trace,
         }
     }
 }
@@ -211,11 +274,7 @@ fn scan_headers(
 
 /// Walk the children of the first `<soap:Body>`: capture the first
 /// element's name, span and namespace scope, skip the rest.
-#[allow(clippy::type_complexity)]
-fn scan_body<'a>(
-    p: &mut PullParser<'a>,
-    wire: &'a str,
-) -> Result<Option<(QName, &'a str, Vec<(String, Option<Arc<str>>)>)>, XmlError> {
+fn scan_body<'a>(p: &mut PullParser<'a>, wire: &'a str) -> Result<Option<BodySpan<'a>>, XmlError> {
     // Scope at <Body> includes every binding visible to its children
     // that the deferred span itself does not re-declare.
     let scope = p.scope();
@@ -277,6 +336,17 @@ mod tests {
         assert_eq!(lazy.trace, TraceContext::from_envelope(&dom));
         assert_eq!(lazy.body_name(), &dom.body.name);
         assert_eq!(lazy.body_text(), dom.body.text_content());
+    }
+
+    #[test]
+    fn scan_trace_reads_the_header_scan_decodes() {
+        // (No full scan here: it would build the ReplyTo DOM and race
+        // the process-wide DOM counter other tests read.)
+        let wire = request_wire();
+        assert_eq!(scan_trace(&wire), Some(TraceContext::new(0x42, 0x7, true)));
+        let untraced = Envelope::new(Element::local("Op")).to_xml();
+        assert_eq!(scan_trace(&untraced), None);
+        assert_eq!(scan_trace("not xml at all"), None);
     }
 
     #[test]
@@ -350,7 +420,8 @@ mod tests {
         );
         let lazy_err = LazyEnvelope::scan(&wire).unwrap_err();
         let dom_err = MessageInfo::extract(&Envelope::parse(&wire).unwrap()).unwrap_err();
-        assert_eq!(lazy_err.message, dom_err.message);
+        assert_eq!(lazy_err, ScanError::MissingAction);
+        assert_eq!(lazy_err.to_string(), dom_err.to_string());
     }
 
     #[test]
@@ -388,7 +459,10 @@ mod tests {
         );
         let lazy_err = LazyEnvelope::scan(&wire).unwrap_err();
         let dom_err = Envelope::parse(&wire).unwrap_err();
-        assert_eq!(lazy_err.message, dom_err.message);
+        assert!(
+            matches!(&lazy_err, ScanError::Xml(e) if e.message == dom_err.message),
+            "{lazy_err:?}"
+        );
     }
 
     #[test]

@@ -2,212 +2,217 @@
 //! per connection) — the analogue of the paper's IIS/ASP.NET front end,
 //! used to exercise true wire encoding/decoding costs in experiment E5
 //! and the cross-process tests.
+//!
+//! The accept loop, timeouts and hop spans live in [`crate::server`];
+//! this module is the framing: parse one request, dispatch it, write
+//! one response.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::time::Instant;
 
-use simclock::Clock;
-use wsrf_obs::MetricsRegistry;
-use wsrf_soap::Envelope;
+use wsrf_soap::{Envelope, SoapFault};
 
-use crate::endpoint::Endpoint;
 use crate::error::TransportError;
-use crate::obs::LinkObs;
+use crate::server::{is_timeout, read_body, Framing, Inbound, Limits, Server, Site};
 
-/// Anti-slowloris limits applied to every accepted connection. A
-/// client that trickles headers forever, or sends an unbounded header
-/// block, used to pin its connection thread indefinitely; these bounds
-/// turn both into prompt SOAP faults (408 / 431).
-#[derive(Clone, Copy, Debug)]
-pub struct HttpLimits {
-    /// Socket read timeout; an idle read past this answers 408.
-    pub read_timeout: std::time::Duration,
-    /// Cap on the request line + header block, in bytes (431 beyond).
-    pub max_header_bytes: usize,
-    /// Cap on the number of header lines (431 beyond).
-    pub max_header_lines: usize,
-}
-
-impl Default for HttpLimits {
-    fn default() -> Self {
-        HttpLimits {
-            read_timeout: std::time::Duration::from_secs(10),
-            max_header_bytes: 16 << 10,
-            max_header_lines: 100,
-        }
-    }
-}
-
-/// Monitoring context for the exposition endpoints: the registry to
-/// scrape and the clock health views are evaluated against. A server
-/// constructed without one ([`HttpSoapServer::start`] et al.) keeps the
-/// historical POST-only behaviour — GETs answer 405 and the SOAP path
-/// pays nothing for the feature.
-struct Exposition {
-    registry: Arc<MetricsRegistry>,
-    clock: Clock,
-    scrapes: wsrf_obs::Counter,
-}
+/// Largest request or response body either HTTP peer accepts.
+const MAX_BODY: usize = 64 << 20;
 
 /// A listening HTTP SOAP endpoint.
-pub struct HttpSoapServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
+pub type HttpSoapServer = Server<Http>;
 
-impl HttpSoapServer {
-    /// Bind to `127.0.0.1:0` (ephemeral port) and start serving
-    /// `endpoint`.
-    pub fn start(endpoint: Arc<dyn Endpoint>) -> std::io::Result<Self> {
-        Self::start_with_metrics(endpoint, &MetricsRegistry::disabled())
-    }
+/// The HTTP/1.1 framing: one request per connection (`Connection:
+/// close`, matching 2004-era SOAP stacks). SOAP rides POST; when the
+/// server's registry is enabled, GET serves the monitoring plane from
+/// it:
+///
+/// * `/metrics` — Prometheus text exposition,
+/// * `/metrics.json` — the flat JSON the bench gate parses,
+/// * `/healthz` — SLO health summary (503 when any burn rate > 1),
+/// * `/traces/<hex-id>.json` — one trace in Chrome trace format.
+///
+/// Without an enabled registry GETs answer 405 and the SOAP path pays
+/// nothing for the feature.
+pub struct Http;
 
-    /// Like [`HttpSoapServer::start`], recording served traffic into a
-    /// metrics registry (`transport.http.*`).
-    pub fn start_with_metrics(
-        endpoint: Arc<dyn Endpoint>,
-        registry: &MetricsRegistry,
-    ) -> std::io::Result<Self> {
-        Self::start_inner(endpoint, registry, None, HttpLimits::default(), None)
-    }
+impl Framing for Http {
+    const KIND: &'static str = "http";
+    const PERSISTENT: bool = false;
 
-    /// Like [`HttpSoapServer::start`], with explicit anti-slowloris
-    /// [`HttpLimits`].
-    pub fn start_with_limits(
-        endpoint: Arc<dyn Endpoint>,
-        limits: HttpLimits,
-    ) -> std::io::Result<Self> {
-        Self::start_inner(endpoint, &MetricsRegistry::disabled(), None, limits, None)
-    }
-
-    /// Like [`HttpSoapServer::start_with_metrics`], additionally opening
-    /// a transport hop span per served request that carries a trace
-    /// header (timestamps read from `clock`).
-    pub fn start_traced(
-        endpoint: Arc<dyn Endpoint>,
-        registry: &MetricsRegistry,
-        clock: Clock,
-    ) -> std::io::Result<Self> {
-        Self::start_inner(endpoint, registry, Some(clock), HttpLimits::default(), None)
-    }
-
-    /// Like [`HttpSoapServer::start_traced`], additionally serving the
-    /// monitoring-plane GET endpoints from `registry`:
-    ///
-    /// * `/metrics` — Prometheus text exposition,
-    /// * `/metrics.json` — the flat JSON the bench gate parses,
-    /// * `/healthz` — SLO health summary (503 when any burn rate > 1),
-    /// * `/traces/<hex-id>.json` — one trace in Chrome trace format.
-    ///
-    /// Scrapes render through the sink pattern into the connection's
-    /// reused wire buffer — no per-metric strings.
-    pub fn start_monitored(
-        endpoint: Arc<dyn Endpoint>,
-        registry: &Arc<MetricsRegistry>,
-        clock: Clock,
-        limits: HttpLimits,
-    ) -> std::io::Result<Self> {
-        let expose = Exposition {
-            registry: registry.clone(),
-            clock: clock.clone(),
-            scrapes: registry.counter("expose.scrapes"),
+    fn serve(conn: Inbound, mut writer: TcpStream, site: &Site) -> io::Result<()> {
+        let started = Instant::now();
+        let mut reader = BufReader::new(conn);
+        // Per-connection buffers: every response body (fault or not) is
+        // rendered exactly once into `wire`, and the request body lands
+        // in `body` — the endpoint only ever sees a borrowed slice of it,
+        // never an owned copy.
+        let mut wire: Vec<u8> = Vec::with_capacity(512);
+        let mut body: Vec<u8> = Vec::new();
+        let serve_gets = site.metrics.is_enabled();
+        let refusal = match read_request(&mut reader, &site.limits, &mut body, serve_gets) {
+            Ok(Request::Get(path)) => {
+                return serve_exposition(&mut writer, &mut wire, site, &path);
+            }
+            Ok(Request::Post) => match std::str::from_utf8(&body) {
+                Ok(text) => return respond(site, &mut writer, &mut wire, text, started),
+                Err(_) => Refusal::reply(400, "Bad Request", "request body is not utf-8"),
+            },
+            Err(refusal) => refusal,
         };
-        Self::start_inner(
-            endpoint,
-            registry,
-            Some(clock),
-            limits,
-            Some(Arc::new(expose)),
-        )
-    }
-
-    fn start_inner(
-        endpoint: Arc<dyn Endpoint>,
-        registry: &MetricsRegistry,
-        clock: Option<Clock>,
-        limits: HttpLimits,
-        expose: Option<Arc<Exposition>>,
-    ) -> std::io::Result<Self> {
-        let obs = Arc::new(LinkObs::new(registry, "http"));
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sd = shutdown.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("http-soap-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if sd.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    stream.set_nodelay(true).ok();
-                    // An idle or trickling client hits this timeout
-                    // instead of pinning its thread forever.
-                    stream.set_read_timeout(Some(limits.read_timeout)).ok();
-                    let ep = endpoint.clone();
-                    let obs = obs.clone();
-                    let clock = clock.clone();
-                    let expose = expose.clone();
-                    // Thread per connection; connections are short-lived
-                    // (Connection: close), matching 2004-era SOAP stacks.
-                    let _ = std::thread::Builder::new()
-                        .name("http-soap-conn".into())
-                        .spawn(move || {
-                            let _ = serve_connection(
-                                stream,
-                                ep,
-                                &obs,
-                                clock.as_ref(),
-                                &limits,
-                                expose.as_deref(),
-                            );
-                        });
+        match refusal {
+            Refusal::Io(e) => Err(e),
+            Refusal::Reply(code, reason, detail) => {
+                // A refusal's detail rides as a SOAP client fault, so a
+                // SOAP caller gets a parseable envelope back.
+                wire.clear();
+                if let Some(detail) = detail {
+                    SoapFault::client(detail)
+                        .to_envelope()
+                        .write_into(&mut wire);
                 }
-            })?;
-        Ok(HttpSoapServer {
-            addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
-        })
-    }
-
-    /// The bound address, e.g. `127.0.0.1:49152`.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The `http://host:port` authority string for building EPRs.
-    pub fn authority(&self) -> String {
-        self.addr.to_string()
-    }
-}
-
-impl Drop for HttpSoapServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        // Unblock the accept loop.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+                write_response(&mut writer, code, reason, CT_XML, &wire)
+            }
         }
     }
+}
+
+/// Dispatch one POSTed envelope and write the endpoint's answer.
+fn respond(
+    site: &Site,
+    writer: &mut TcpStream,
+    wire: &mut Vec<u8>,
+    text: &str,
+    started: Instant,
+) -> io::Result<()> {
+    // The hop guard (if traced) covers the dispatch and the write.
+    let (resp, _hop) = site.dispatch(text);
+    match resp {
+        Some(resp) => {
+            let t0 = Instant::now();
+            wire.clear();
+            resp.write_into(wire);
+            site.obs.record_serialize(wire.len() as u64, t0);
+            site.obs
+                .record_call(text.len() as u64, wire.len() as u64, started);
+            // SOAP 1.1 over HTTP: faults ride status 500.
+            let (code, reason) = if resp.is_fault() {
+                (500, "Internal Server Error")
+            } else {
+                (200, "OK")
+            };
+            write_response(writer, code, reason, CT_XML, wire)
+        }
+        None => {
+            site.obs.record_oneway(text.len() as u64, started);
+            write_response(writer, 202, "Accepted", CT_XML, b"")
+        }
+    }
+}
+
+/// A request read in full off the socket.
+enum Request {
+    /// An exposition GET of this path.
+    Get(String),
+    /// A SOAP POST; the body is in the caller's buffer.
+    Post,
+}
+
+/// Why a request is answered before it reaches the endpoint.
+enum Refusal {
+    /// Answer with this status; with `Some` detail, the body is a SOAP
+    /// client fault naming the problem.
+    Reply(u16, &'static str, Option<String>),
+    /// The connection failed; drop it.
+    Io(io::Error),
+}
+
+impl Refusal {
+    fn reply(code: u16, reason: &'static str, detail: impl Into<String>) -> Self {
+        Refusal::Reply(code, reason, Some(detail.into()))
+    }
+
+    /// Map a read error at stage `what`: a timeout answers 408.
+    fn timed(what: &'static str) -> impl FnOnce(io::Error) -> Refusal {
+        move |e| {
+            if is_timeout(&e) {
+                Refusal::reply(408, "Request Timeout", format!("timed out reading {what}"))
+            } else {
+                Refusal::Io(e)
+            }
+        }
+    }
+}
+
+const TOO_LARGE: &str = "Request Header Fields Too Large";
+
+/// Read one request: request line, headers, and (for POST) the body
+/// into `body`. The request line and header block are bounded by
+/// `limits`; the body is bounded by [`MAX_BODY`] and grows only as its
+/// bytes arrive.
+fn read_request(
+    reader: &mut impl BufRead,
+    limits: &Limits,
+    body: &mut Vec<u8>,
+    serve_gets: bool,
+) -> Result<Request, Refusal> {
+    let mut line = String::new();
+    if !read_line_capped(reader, limits.max_header_bytes, &mut line)
+        .map_err(Refusal::timed("request line"))?
+    {
+        return Err(Refusal::reply(
+            431,
+            TOO_LARGE,
+            "request line exceeds byte cap",
+        ));
+    }
+    let get = serve_gets && line.starts_with("GET ");
+    if !get && !line.starts_with("POST ") {
+        return Err(Refusal::Reply(405, "Method Not Allowed", None));
+    }
+    // A request we cannot size is answered with a SOAP client fault
+    // rather than a body-less status.
+    let scanned = read_content_length(reader, limits).map_err(Refusal::timed("request headers"))?;
+    if get {
+        // Scrapers send no body; route on the path.
+        let path = line.split_whitespace().nth(1).unwrap_or("/");
+        return Ok(Request::Get(path.to_string()));
+    }
+    let len = match scanned {
+        ContentLength::Len(n) => n,
+        ContentLength::Missing => {
+            return Err(Refusal::reply(
+                411,
+                "Length Required",
+                "request has no Content-Length header",
+            ));
+        }
+        ContentLength::Bad(code, reason, why) => return Err(Refusal::reply(code, reason, why)),
+    };
+    if len > MAX_BODY {
+        return Err(Refusal::Reply(413, "Payload Too Large", None));
+    }
+    read_body(reader, body, len).map_err(Refusal::timed("request body"))?;
+    Ok(Request::Post)
+}
+
+/// Read one line of at most `cap` bytes into `line`; `false` when the
+/// cap cut it off before its newline.
+fn read_line_capped(reader: &mut impl BufRead, cap: usize, line: &mut String) -> io::Result<bool> {
+    let mut limited = reader.take(cap as u64);
+    limited.read_line(line)?;
+    Ok(line.ends_with('\n') || limited.limit() > 0)
 }
 
 /// Outcome of scanning an HTTP header block for `Content-Length`.
 enum ContentLength {
     /// No Content-Length header present.
     Missing,
-    /// A Content-Length header whose value is not a number.
-    Invalid(String),
     /// A well-formed length.
     Len(usize),
-    /// The header block blew past [`HttpLimits`] (bytes or line count).
-    TooLarge(&'static str),
+    /// A length that is not a number, or a header block past
+    /// [`Limits`]: the status a server answers with, and why.
+    Bad(u16, &'static str, String),
 }
 
 /// Consume header lines up to the blank separator, extracting the
@@ -215,12 +220,9 @@ enum ContentLength {
 /// two sides can never again drift on how a missing or garbage length
 /// is treated (historically one side ignored it and the other silently
 /// read a zero-byte body). The header block is bounded by `limits`: a
-/// peer streaming endless (or endlessly long) header lines gets
-/// [`ContentLength::TooLarge`] instead of an unbounded read loop.
-fn read_content_length(
-    reader: &mut impl BufRead,
-    limits: &HttpLimits,
-) -> std::io::Result<ContentLength> {
+/// peer streaming endless (or endlessly long) header lines gets a 431
+/// instead of an unbounded read loop.
+fn read_content_length(reader: &mut impl BufRead, limits: &Limits) -> io::Result<ContentLength> {
     let mut limited = reader.take(limits.max_header_bytes as u64);
     let mut found = ContentLength::Missing;
     let mut lines = 0usize;
@@ -229,18 +231,18 @@ fn read_content_length(
         let n = limited.read_line(&mut h)?;
         if n == 0 {
             if limited.limit() == 0 {
-                return Ok(ContentLength::TooLarge("header block exceeds byte cap"));
+                return Ok(too_large("header block exceeds byte cap"));
             }
             // Genuine EOF before the blank separator: treat as end of
             // headers (legacy behaviour).
             break;
         }
         if !h.ends_with('\n') && limited.limit() == 0 {
-            return Ok(ContentLength::TooLarge("header line exceeds byte cap"));
+            return Ok(too_large("header line exceeds byte cap"));
         }
         lines += 1;
         if lines > limits.max_header_lines {
-            return Ok(ContentLength::TooLarge("too many header lines"));
+            return Ok(too_large("too many header lines"));
         }
         let h = h.trim_end();
         if h.is_empty() {
@@ -251,7 +253,11 @@ fn read_content_length(
                 let value = value.trim();
                 found = match value.parse() {
                     Ok(n) => ContentLength::Len(n),
-                    Err(_) => ContentLength::Invalid(value.to_string()),
+                    Err(_) => ContentLength::Bad(
+                        400,
+                        "Bad Request",
+                        format!("unparseable Content-Length {value:?}"),
+                    ),
                 };
             }
         }
@@ -259,230 +265,17 @@ fn read_content_length(
     Ok(found)
 }
 
-/// True when an IO error is the socket read timeout firing.
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
+fn too_large(why: &str) -> ContentLength {
+    ContentLength::Bad(431, TOO_LARGE, why.into())
 }
 
-/// Render a SOAP client fault into `wire` and send it with the given
-/// HTTP status.
-fn write_fault_response(
-    writer: &mut TcpStream,
-    wire: &mut Vec<u8>,
-    code: u16,
-    reason: &str,
-    detail: String,
-) -> std::io::Result<()> {
-    wire.clear();
-    wsrf_soap::SoapFault::client(detail)
-        .to_envelope()
-        .write_into(wire);
-    write_response(writer, code, reason, wire)
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    endpoint: Arc<dyn Endpoint>,
-    obs: &LinkObs,
-    clock: Option<&Clock>,
-    limits: &HttpLimits,
-    expose: Option<&Exposition>,
-) -> std::io::Result<()> {
-    let started = std::time::Instant::now();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    // Per-connection buffers: every response body (fault or not) is
-    // rendered exactly once into `wire`, and the request body lands in
-    // `body` — the endpoint only ever sees a borrowed slice of it
-    // (via [`Endpoint::handle_wire`]), never an owned copy.
-    let mut wire: Vec<u8> = Vec::with_capacity(512);
-    let mut body: Vec<u8> = Vec::new();
-
-    // Request line, bounded like the headers: a peer streaming one
-    // endless line is cut off at the byte cap.
-    let mut line = String::new();
-    {
-        let mut limited = (&mut reader).take(limits.max_header_bytes as u64);
-        match limited.read_line(&mut line) {
-            Ok(_) => {}
-            Err(e) if is_timeout(&e) => {
-                return write_fault_response(
-                    &mut writer,
-                    &mut wire,
-                    408,
-                    "Request Timeout",
-                    "timed out reading request line".into(),
-                );
-            }
-            Err(e) => return Err(e),
-        }
-        if !line.ends_with('\n') && limited.limit() == 0 {
-            return write_fault_response(
-                &mut writer,
-                &mut wire,
-                431,
-                "Request Header Fields Too Large",
-                "request line exceeds byte cap".into(),
-            );
-        }
-    }
-    if let (Some(exp), true) = (expose, line.starts_with("GET ")) {
-        // Exposition GET: drain the (bounded) header block — scrapers
-        // send no body — then route on the path.
-        match read_content_length(&mut reader, limits) {
-            Ok(_) => {}
-            Err(e) if is_timeout(&e) => {
-                return write_fault_response(
-                    &mut writer,
-                    &mut wire,
-                    408,
-                    "Request Timeout",
-                    "timed out reading request headers".into(),
-                );
-            }
-            Err(e) => return Err(e),
-        }
-        let path = line.split_whitespace().nth(1).unwrap_or("/");
-        return serve_exposition(&mut writer, &mut wire, exp, path);
-    }
-    if !line.starts_with("POST ") {
-        write_response(&mut writer, 405, "Method Not Allowed", b"")?;
-        return Ok(());
-    }
-
-    // Headers. A request we cannot size is answered with a SOAP client
-    // fault rather than a body-less status, so SOAP callers always get
-    // a parseable envelope; a client trickling headers slower than the
-    // read timeout gets 408 instead of pinning this thread.
-    let scanned = match read_content_length(&mut reader, limits) {
-        Ok(s) => s,
-        Err(e) if is_timeout(&e) => {
-            return write_fault_response(
-                &mut writer,
-                &mut wire,
-                408,
-                "Request Timeout",
-                "timed out reading request headers".into(),
-            );
-        }
-        Err(e) => return Err(e),
-    };
-    let len = match scanned {
-        ContentLength::Len(n) => n,
-        ContentLength::Missing => {
-            return write_fault_response(
-                &mut writer,
-                &mut wire,
-                411,
-                "Length Required",
-                "request has no Content-Length header".into(),
-            );
-        }
-        ContentLength::Invalid(v) => {
-            return write_fault_response(
-                &mut writer,
-                &mut wire,
-                400,
-                "Bad Request",
-                format!("unparseable Content-Length {v:?}"),
-            );
-        }
-        ContentLength::TooLarge(why) => {
-            return write_fault_response(
-                &mut writer,
-                &mut wire,
-                431,
-                "Request Header Fields Too Large",
-                why.into(),
-            );
-        }
-    };
-    if len > 64 << 20 {
-        write_response(&mut writer, 413, "Payload Too Large", b"")?;
-        return Ok(());
-    }
-    body.resize(len, 0);
-    match reader.read_exact(&mut body) {
-        Ok(()) => {}
-        Err(e) if is_timeout(&e) => {
-            return write_fault_response(
-                &mut writer,
-                &mut wire,
-                408,
-                "Request Timeout",
-                "timed out reading request body".into(),
-            );
-        }
-        Err(e) => return Err(e),
-    }
-
-    let Ok(text) = std::str::from_utf8(&body) else {
-        write_response(&mut writer, 400, "Bad Request", b"body is not utf-8")?;
-        return Ok(());
-    };
-    // Tracing needs to re-stamp the trace header before dispatch, which
-    // forces an eager parse; everyone else hands the endpoint the
-    // borrowed wire text, so a lazily-routing container reads headers
-    // straight out of the receive buffer and may never build a body DOM.
-    // Hop span under the request's trace header, if any; the guard
-    // covers the dispatch and the response write.
-    let mut _hop = None;
-    let resp = if clock.is_some() && obs.tracer.is_enabled() {
-        match Envelope::parse(text) {
-            Err(e) => {
-                return write_fault_response(
-                    &mut writer,
-                    &mut wire,
-                    500,
-                    "Internal Server Error",
-                    format!("unparseable envelope: {e}"),
-                );
-            }
-            Ok(mut env) => {
-                _hop = clock.and_then(|c| obs.hop_span(&mut env, "transport.serve", c));
-                endpoint.handle(env)
-            }
-        }
-    } else {
-        endpoint.handle_wire(text)
-    };
-    match resp {
-        Some(resp) => {
-            let t0 = std::time::Instant::now();
-            wire.clear();
-            resp.write_into(&mut wire);
-            obs.record_serialize(wire.len() as u64, t0);
-            obs.record_call(len as u64, wire.len() as u64, started);
-            // SOAP 1.1 over HTTP: faults ride status 500.
-            let (code, reason) = if resp.is_fault() {
-                (500, "Internal Server Error")
-            } else {
-                (200, "OK")
-            };
-            write_response(&mut writer, code, reason, &wire)?;
-        }
-        None => {
-            obs.record_oneway(len as u64, started);
-            write_response(&mut writer, 202, "Accepted", b"")?;
-        }
-    }
-    Ok(())
-}
-
-fn write_response(w: &mut TcpStream, code: u16, reason: &str, body: &[u8]) -> std::io::Result<()> {
-    write_response_typed(w, code, reason, "text/xml; charset=utf-8", body)
-}
-
-fn write_response_typed(
+fn write_response(
     w: &mut TcpStream,
     code: u16,
     reason: &str,
     content_type: &str,
     body: &[u8],
-) -> std::io::Result<()> {
+) -> io::Result<()> {
     write!(
         w,
         "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -492,6 +285,7 @@ fn write_response_typed(
     w.flush()
 }
 
+const CT_XML: &str = "text/xml; charset=utf-8";
 const CT_PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
 const CT_JSON: &str = "application/json; charset=utf-8";
 
@@ -501,23 +295,24 @@ const CT_JSON: &str = "application/json; charset=utf-8";
 fn serve_exposition(
     writer: &mut TcpStream,
     wire: &mut Vec<u8>,
-    expose: &Exposition,
+    site: &Site,
     path: &str,
-) -> std::io::Result<()> {
-    expose.scrapes.inc();
+) -> io::Result<()> {
+    let registry = &site.metrics;
+    registry.counter("expose.scrapes").inc();
     wire.clear();
     match path {
         "/metrics" => {
-            expose.registry.write_prometheus_into(wire);
-            write_response_typed(writer, 200, "OK", CT_PROM, wire)
+            registry.write_prometheus_into(wire);
+            write_response(writer, 200, "OK", CT_PROM, wire)
         }
         "/metrics.json" => {
-            expose.registry.write_json_into(wire);
-            write_response_typed(writer, 200, "OK", CT_JSON, wire)
+            registry.write_json_into(wire);
+            write_response(writer, 200, "OK", CT_JSON, wire)
         }
         "/healthz" => {
-            let now_ns = expose.clock.now().as_nanos();
-            let health = expose.registry.slo().health_all(now_ns);
+            let now_ns = site.clock.now().as_nanos();
+            let health = registry.slo().health_all(now_ns);
             let degraded = health.iter().any(|h| !h.is_healthy());
             use wsrf_obs::MetricSink;
             wire.put("{\"status\": \"");
@@ -548,7 +343,7 @@ fn serve_exposition(
             } else {
                 (200, "OK")
             };
-            write_response_typed(writer, code, reason, CT_JSON, wire)
+            write_response(writer, code, reason, CT_JSON, wire)
         }
         _ => {
             if let Some(id) = path
@@ -556,9 +351,9 @@ fn serve_exposition(
                 .and_then(|rest| rest.strip_suffix(".json"))
                 .and_then(|id| u64::from_str_radix(id, 16).ok())
             {
-                let trace = expose.registry.tracer().trace(id);
+                let trace = registry.tracer().trace(id);
                 if trace.is_empty() {
-                    return write_response_typed(
+                    return write_response(
                         writer,
                         404,
                         "Not Found",
@@ -567,9 +362,9 @@ fn serve_exposition(
                     );
                 }
                 trace.write_chrome_into(wire);
-                return write_response_typed(writer, 200, "OK", CT_JSON, wire);
+                return write_response(writer, 200, "OK", CT_JSON, wire);
             }
-            write_response_typed(
+            write_response(
                 writer,
                 404,
                 "Not Found",
@@ -588,64 +383,26 @@ pub fn http_post(
     path: &str,
     env: &Envelope,
 ) -> Result<Option<Envelope>, TransportError> {
-    let stream = TcpStream::connect(authority)
-        .map_err(|e| TransportError::Io(format!("connect {authority}: {e}")))?;
-    stream.set_nodelay(true).ok();
     // One render per request, straight into the wire buffer.
     let mut body: Vec<u8> = Vec::with_capacity(512);
     env.write_into(&mut body);
-    let mut writer = stream.try_clone()?;
-    write!(
-        writer,
+    let head = format!(
         "POST /{} HTTP/1.1\r\nHost: {authority}\r\nContent-Type: text/xml; charset=utf-8\r\nSOAPAction: \"\"\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         path.trim_start_matches('/'),
         body.len()
-    )?;
-    writer.write_all(&body)?;
-    writer.flush()?;
-
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let code: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| TransportError::Protocol(format!("bad status line {status_line:?}")))?;
-    let content_length = read_content_length(&mut reader, &HttpLimits::default())?;
-    if code == 202 {
-        return Ok(None);
+    );
+    let (code, body) = exchange(authority, &head, &body)?;
+    match code {
+        202 => Ok(None),
+        200 | 500 => {
+            let text = std::str::from_utf8(&body)
+                .map_err(|_| TransportError::Protocol("response not utf-8".into()))?;
+            Envelope::parse(text)
+                .map(Some)
+                .map_err(|e| TransportError::Protocol(format!("bad response envelope: {e}")))
+        }
+        _ => Err(TransportError::Protocol(format!("http status {code}"))),
     }
-    // A sized response is required past this point; treating a missing
-    // or garbage length as zero would silently truncate the body.
-    let len = match content_length {
-        ContentLength::Len(n) => n,
-        ContentLength::Missing => {
-            return Err(TransportError::Protocol(
-                "response missing Content-Length".into(),
-            ));
-        }
-        ContentLength::Invalid(v) => {
-            return Err(TransportError::Protocol(format!(
-                "unparseable response Content-Length {v:?}"
-            )));
-        }
-        ContentLength::TooLarge(why) => {
-            return Err(TransportError::Protocol(format!(
-                "response header block too large: {why}"
-            )));
-        }
-    };
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    if !(code == 200 || code == 500) {
-        return Err(TransportError::Protocol(format!("http status {code}")));
-    }
-    let text = std::str::from_utf8(&body)
-        .map_err(|_| TransportError::Protocol("response not utf-8".into()))?;
-    Envelope::parse(text)
-        .map(Some)
-        .map_err(|e| TransportError::Protocol(format!("bad response envelope: {e}")))
 }
 
 /// Request/response call over HTTP; `None` responses become errors.
@@ -656,38 +413,67 @@ pub fn http_call(authority: &str, path: &str, env: &Envelope) -> Result<Envelope
 
 /// Plain HTTP GET against `authority` (`host:port`): status code and
 /// body. What a scraper (or the grid monitor pulling `/metrics.json`)
-/// runs against [`HttpSoapServer::start_monitored`].
+/// runs against a server whose registry is enabled.
 pub fn http_get(authority: &str, path: &str) -> Result<(u16, String), TransportError> {
-    let stream = TcpStream::connect(authority)
-        .map_err(|e| TransportError::Io(format!("connect {authority}: {e}")))?;
-    stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone()?;
-    write!(
-        writer,
+    let head = format!(
         "GET /{} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n\r\n",
         path.trim_start_matches('/')
-    )?;
-    writer.flush()?;
+    );
+    let (code, body) = exchange(authority, &head, b"")?;
+    let body = String::from_utf8(body)
+        .map_err(|_| TransportError::Protocol("GET response not utf-8".into()))?;
+    Ok((code, body))
+}
+
+/// One client exchange: connect, send `head` and `body`, and read the
+/// response's status code and body.
+fn exchange(authority: &str, head: &str, body: &[u8]) -> Result<(u16, Vec<u8>), TransportError> {
+    let mut stream = TcpStream::connect(authority)
+        .map_err(|e| TransportError::Io(format!("connect {authority}: {e}")))?;
+    stream.set_nodelay(true).ok();
+    stream.write_all(head.as_bytes())?;
+    stream.write_all(body)?;
+    stream.flush()?;
+    read_response(stream)
+}
+
+/// Read one response: one status-line parse, the shared header scan,
+/// and a body read capped at [`MAX_BODY`] that grows only as bytes
+/// arrive — a peer announcing a huge length gets a protocol error, not
+/// an allocation.
+fn read_response(stream: TcpStream) -> Result<(u16, Vec<u8>), TransportError> {
+    let limits = Limits::default();
     let mut reader = BufReader::new(stream);
     let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
+    read_line_capped(&mut reader, limits.max_header_bytes, &mut status_line)?;
     let code: u16 = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| TransportError::Protocol(format!("bad status line {status_line:?}")))?;
-    let len = match read_content_length(&mut reader, &HttpLimits::default())? {
+    // A sized response is required (bar the body-less 202); treating a
+    // missing or garbage length as zero would silently truncate it.
+    let len = match read_content_length(&mut reader, &limits)? {
+        ContentLength::Len(n) if n > MAX_BODY => {
+            return Err(TransportError::Protocol(format!(
+                "response Content-Length {n} exceeds the {MAX_BODY}-byte cap"
+            )));
+        }
         ContentLength::Len(n) => n,
-        _ => {
+        ContentLength::Missing if code == 202 => 0,
+        ContentLength::Missing => {
             return Err(TransportError::Protocol(
-                "GET response missing Content-Length".into(),
+                "response missing Content-Length".into(),
             ));
         }
+        ContentLength::Bad(_, _, why) => {
+            return Err(TransportError::Protocol(format!(
+                "bad response headers: {why}"
+            )));
+        }
     };
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| TransportError::Protocol("GET response not utf-8".into()))?;
+    let mut body = Vec::new();
+    read_body(&mut reader, &mut body, len)?;
     Ok((code, body))
 }
 
@@ -695,6 +481,11 @@ pub fn http_get(authority: &str, path: &str) -> Result<(u16, String), TransportE
 mod tests {
     use super::*;
     use crate::endpoint::FnEndpoint;
+    use crate::server::ServerConfig;
+    use simclock::Clock;
+    use std::net::TcpListener;
+    use std::sync::Arc;
+    use wsrf_obs::MetricsRegistry;
     use wsrf_xml::Element;
 
     #[test]
@@ -752,29 +543,24 @@ mod tests {
 
     /// Read one raw HTTP response (status code + body) off a stream.
     fn raw_response(stream: TcpStream) -> (u16, String) {
-        let mut reader = BufReader::new(stream);
-        let mut status = String::new();
-        reader.read_line(&mut status).unwrap();
-        let code: u16 = status.split_whitespace().nth(1).unwrap().parse().unwrap();
-        let len = match read_content_length(&mut reader, &HttpLimits::default()).unwrap() {
-            ContentLength::Len(n) => n,
-            _ => 0,
-        };
-        let mut body = vec![0u8; len];
-        reader.read_exact(&mut body).unwrap();
+        let (code, body) = read_response(stream).unwrap();
         (code, String::from_utf8(body).unwrap())
+    }
+
+    fn limited(limits: Limits) -> HttpSoapServer {
+        let config = ServerConfig {
+            limits,
+            ..ServerConfig::default()
+        };
+        HttpSoapServer::start_with(Arc::new(FnEndpoint::new("echo", Some)), &config).unwrap()
     }
 
     #[test]
     fn idle_slowloris_client_gets_408_soap_fault() {
-        let server = HttpSoapServer::start_with_limits(
-            Arc::new(FnEndpoint::new("echo", Some)),
-            HttpLimits {
-                read_timeout: std::time::Duration::from_millis(100),
-                ..HttpLimits::default()
-            },
-        )
-        .unwrap();
+        let server = limited(Limits {
+            read_timeout: std::time::Duration::from_millis(100),
+            ..Limits::default()
+        });
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         // Open the request but never finish the header block.
         stream
@@ -790,14 +576,10 @@ mod tests {
 
     #[test]
     fn header_flood_gets_431_soap_fault() {
-        let server = HttpSoapServer::start_with_limits(
-            Arc::new(FnEndpoint::new("echo", Some)),
-            HttpLimits {
-                max_header_lines: 8,
-                ..HttpLimits::default()
-            },
-        )
-        .unwrap();
+        let server = limited(Limits {
+            max_header_lines: 8,
+            ..Limits::default()
+        });
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.write_all(b"POST /svc HTTP/1.1\r\n").unwrap();
         for i in 0..50 {
@@ -814,14 +596,10 @@ mod tests {
 
     #[test]
     fn oversized_header_block_gets_431() {
-        let server = HttpSoapServer::start_with_limits(
-            Arc::new(FnEndpoint::new("echo", Some)),
-            HttpLimits {
-                max_header_bytes: 256,
-                ..HttpLimits::default()
-            },
-        )
-        .unwrap();
+        let server = limited(Limits {
+            max_header_bytes: 256,
+            ..Limits::default()
+        });
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.write_all(b"POST /svc HTTP/1.1\r\n").unwrap();
         // One huge header line, no newline in sight.
@@ -834,11 +612,7 @@ mod tests {
 
     #[test]
     fn limits_leave_normal_calls_untouched() {
-        let server = HttpSoapServer::start_with_limits(
-            Arc::new(FnEndpoint::new("echo", Some)),
-            HttpLimits::default(),
-        )
-        .unwrap();
+        let server = limited(Limits::default());
         let req = Envelope::new(Element::local("Ping").text("p"));
         let resp = http_call(&server.authority(), "svc", &req).unwrap();
         assert_eq!(resp, req);
@@ -850,13 +624,13 @@ mod tests {
             wsrf_obs::TraceConfig::enabled(),
         );
         let clock = Clock::manual();
-        let server = HttpSoapServer::start_monitored(
-            Arc::new(FnEndpoint::new("echo", Some)),
-            &reg,
-            clock.clone(),
-            HttpLimits::default(),
-        )
-        .unwrap();
+        let config = ServerConfig {
+            metrics: reg.clone(),
+            clock: clock.clone(),
+            ..ServerConfig::default()
+        };
+        let server =
+            HttpSoapServer::start_with(Arc::new(FnEndpoint::new("echo", Some)), &config).unwrap();
         (server, reg, clock)
     }
 

@@ -25,6 +25,9 @@
 //!   WSE-like length-prefixed `soap.tcp` transport with persistent
 //!   connections and true one-way frames.
 //!
+//! Both socket servers are one [`server::Server`] — one accept loop,
+//! one [`server::ServerConfig`] — differing only in their framing.
+//!
 //! All service containers speak through the [`Endpoint`] trait, so the
 //! same service runs unchanged behind any of the three transports.
 
@@ -35,6 +38,7 @@ pub mod inproc;
 pub mod netsim;
 pub mod obs;
 pub mod pool;
+pub mod server;
 pub mod tcpframe;
 
 pub use endpoint::{Endpoint, FnEndpoint};

@@ -11,7 +11,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use simclock::Clock;
-use wsrf_obs::{ActiveSpan, Counter, Histogram, MetricsRegistry, SpanContext, Tracer};
+use wsrf_obs::{
+    scoped_parent, ActiveSpan, Counter, Histogram, MetricsRegistry, SpanContext, Tracer,
+};
 use wsrf_soap::{Envelope, TraceContext};
 
 /// Message/byte counters plus a per-transfer latency histogram for one
@@ -57,11 +59,6 @@ impl LinkObs {
         }
     }
 
-    /// All-no-op handles.
-    pub fn noop() -> Self {
-        Self::new(&MetricsRegistry::disabled(), "noop")
-    }
-
     /// Open a transport-hop span as a child of the trace context in
     /// `env`'s headers, re-stamping the envelope with the hop's own
     /// context so the receiver parents under the hop. Returns `None`
@@ -72,22 +69,26 @@ impl LinkObs {
         if !self.tracer.is_enabled() {
             return None;
         }
-        let tc = TraceContext::from_envelope(env)?;
-        let span = self.tracer.start_child(
-            SpanContext {
-                trace_id: tc.trace_id,
-                span_id: tc.span_id,
-                sampled: tc.sampled,
-            },
-            name,
-            self.kind.clone(),
-            clock,
-        );
+        let span = self.hop(TraceContext::from_envelope(env)?, name, clock);
         if span.is_recording() {
             let c = span.context();
             TraceContext::new(c.trace_id, c.span_id, c.sampled).stamp(env);
         }
         Some(span)
+    }
+
+    /// Open a transport-hop span under the header context `tc`, or
+    /// under the hop span a socket server has offered this thread for
+    /// the same trace ([`wsrf_obs::with_scoped_parent`]): a message a
+    /// socket request relays in process nests under the socket hop.
+    pub(crate) fn hop(&self, tc: TraceContext, name: &str, clock: &Clock) -> ActiveSpan {
+        let parent = scoped_parent(SpanContext {
+            trace_id: tc.trace_id,
+            span_id: tc.span_id,
+            sampled: tc.sampled,
+        });
+        self.tracer
+            .start_child(parent, name, self.kind.clone(), clock)
     }
 
     /// Record one wire serialization (or exact-size pass): the bytes it

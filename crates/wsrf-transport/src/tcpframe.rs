@@ -9,20 +9,16 @@
 //! connections (no per-message HTTP handshake) and binary-clean
 //! payloads (no base64 inflation when shipping file content).
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::time::Instant;
 
 use parking_lot::Mutex;
-use wsrf_obs::MetricsRegistry;
 use wsrf_soap::{Envelope, SoapFault};
 
-use crate::endpoint::Endpoint;
 use crate::error::TransportError;
-use crate::obs::LinkObs;
 use crate::pool::BufPool;
+use crate::server::{read_body, Framing, Inbound, Server, Site};
 
 const MAGIC: &[u8; 4] = b"WSE1";
 /// Frame is a request expecting a response frame.
@@ -33,18 +29,10 @@ const FLAG_ONEWAY: u8 = 1;
 const FLAG_RESPONSE: u8 = 2;
 /// Response frame indicating the endpoint produced no response.
 const FLAG_EMPTY: u8 = 3;
+/// The whole (payload-less) `FLAG_EMPTY` response frame.
+const EMPTY_RESPONSE: [u8; 9] = [b'W', b'S', b'E', b'1', FLAG_EMPTY, 0, 0, 0, 0];
 
 const MAX_FRAME: usize = 256 << 20;
-
-fn write_frame(w: &mut impl Write, flags: u8, payload: &[u8]) -> std::io::Result<()> {
-    let mut head = [0u8; 9];
-    head[..4].copy_from_slice(MAGIC);
-    head[4] = flags;
-    head[5..9].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    w.write_all(&head)?;
-    w.write_all(payload)?;
-    w.flush()
-}
 
 /// Render `env` as one complete frame — header plus payload — into the
 /// reusable `buf`. The envelope serializes exactly once, straight into
@@ -62,7 +50,8 @@ fn frame_into(buf: &mut Vec<u8>, flags: u8, env: &Envelope) -> usize {
 }
 
 /// Read one frame into the reusable `payload` buffer; returns the frame
-/// flags.
+/// flags. The buffer grows only as payload bytes arrive, so a header
+/// announcing a huge frame reserves nothing it has not received.
 fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<u8, TransportError> {
     let mut head = [0u8; 9];
     r.read_exact(&mut head)
@@ -75,9 +64,7 @@ fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<u8, Trans
     if len > MAX_FRAME {
         return Err(TransportError::Protocol(format!("frame too large: {len}")));
     }
-    payload.resize(len, 0);
-    r.read_exact(payload)
-        .map_err(|e| TransportError::Io(format!("read frame body: {e}")))?;
+    read_body(r, payload, len).map_err(|e| TransportError::Io(format!("read frame body: {e}")))?;
     Ok(flags)
 }
 
@@ -87,149 +74,74 @@ fn decode_envelope(payload: &[u8]) -> Result<Envelope, TransportError> {
     Envelope::parse(text).map_err(|e| TransportError::Protocol(format!("bad envelope: {e}")))
 }
 
-/// Render a client fault as a response frame into `outbuf`.
-fn fault_frame(outbuf: &mut Vec<u8>, detail: String) -> usize {
-    frame_into(
-        outbuf,
-        FLAG_RESPONSE,
-        &SoapFault::client(detail).to_envelope(),
-    )
-}
-
 /// A listening `soap.tcp` endpoint.
-pub struct FramedServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
+pub type FramedServer = Server<SoapTcp>;
 
-impl FramedServer {
-    /// Bind an ephemeral localhost port and serve `endpoint`.
-    pub fn start(endpoint: Arc<dyn Endpoint>) -> std::io::Result<Self> {
-        Self::start_with_metrics(endpoint, &MetricsRegistry::disabled())
-    }
+/// The `soap.tcp` framing: a persistent connection carrying a loop of
+/// frames until EOF. A connection may idle between frames; a frame
+/// that stalls past the read timeout once begun closes it.
+pub struct SoapTcp;
 
-    /// Like [`FramedServer::start`], recording served frames into a
-    /// metrics registry (`transport.tcpframe.*`).
-    pub fn start_with_metrics(
-        endpoint: Arc<dyn Endpoint>,
-        registry: &MetricsRegistry,
-    ) -> std::io::Result<Self> {
-        let obs = Arc::new(LinkObs::new(registry, "tcpframe"));
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sd = shutdown.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("soap-tcp-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if sd.load(Ordering::Acquire) {
-                        return;
+impl Framing for SoapTcp {
+    const KIND: &'static str = "tcpframe";
+    const PERSISTENT: bool = true;
+
+    fn serve(mut reader: Inbound, mut writer: TcpStream, site: &Site) -> io::Result<()> {
+        // Per-connection buffers, reused across the frame loop: one for
+        // inbound payloads, one the response renders into (exactly
+        // once). The endpoint sees a *borrowed* slice of `inbuf`, so a
+        // lazily-routing container never pays for an owned copy or an
+        // eager DOM.
+        let mut inbuf: Vec<u8> = Vec::new();
+        let mut outbuf: Vec<u8> = Vec::new();
+        loop {
+            let flags = match read_frame_into(&mut reader, &mut inbuf) {
+                Ok(f) => f,
+                // Peer closed, stalled mid-frame, or broke the framing.
+                Err(_) => return Ok(()),
+            };
+            reader.message_done()?;
+            let started = Instant::now();
+            let text = std::str::from_utf8(&inbuf);
+            match flags {
+                FLAG_ONEWAY => {
+                    // Undecodable one-ways are dropped — there is nobody
+                    // to answer — but the connection survives.
+                    if let Ok(text) = text {
+                        site.dispatch(text);
                     }
-                    let Ok(stream) = conn else { continue };
-                    stream.set_nodelay(true).ok();
-                    let ep = endpoint.clone();
-                    let obs = obs.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("soap-tcp-conn".into())
-                        .spawn(move || {
-                            let _ = serve_connection(stream, ep, &obs);
-                        });
+                    site.obs.record_oneway(inbuf.len() as u64, started);
                 }
-            })?;
-        Ok(FramedServer {
-            addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
-        })
-    }
-
-    /// The bound socket address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The `host:port` authority string.
-    pub fn authority(&self) -> String {
-        self.addr.to_string()
-    }
-}
-
-impl Drop for FramedServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Serve one persistent connection: a loop of frames until EOF.
-fn serve_connection(
-    stream: TcpStream,
-    endpoint: Arc<dyn Endpoint>,
-    obs: &LinkObs,
-) -> Result<(), TransportError> {
-    let mut reader = stream.try_clone().map_err(TransportError::from)?;
-    let mut writer = stream;
-    // Per-connection buffers, reused across the frame loop: one for
-    // inbound payloads, one the response renders into (exactly once).
-    // The endpoint sees a *borrowed* slice of `inbuf` through
-    // [`Endpoint::handle_wire`], so a lazily-routing container never
-    // pays for an owned copy or an eager DOM.
-    let mut inbuf: Vec<u8> = Vec::new();
-    let mut outbuf: Vec<u8> = Vec::new();
-    loop {
-        let flags = match read_frame_into(&mut reader, &mut inbuf) {
-            Ok(f) => f,
-            Err(TransportError::Io(_)) => return Ok(()), // peer closed
-            Err(e) => return Err(e),
-        };
-        let started = std::time::Instant::now();
-        match flags {
-            FLAG_ONEWAY => {
-                // Undecodable one-ways are dropped — there is nobody to
-                // answer — but the connection survives for later frames.
-                if let Ok(text) = std::str::from_utf8(&inbuf) {
-                    endpoint.handle_wire(text);
-                }
-                obs.record_oneway(inbuf.len() as u64, started);
-            }
-            FLAG_CALL => {
-                let resp = match std::str::from_utf8(&inbuf) {
-                    Ok(text) => endpoint.handle_wire(text),
-                    // A garbage payload answers with a fault frame (the
-                    // connection stays usable) instead of tearing the
-                    // whole persistent session down.
-                    Err(_) => {
-                        let resp_len = fault_frame(&mut outbuf, "frame payload not utf-8".into());
-                        obs.record_call(inbuf.len() as u64, resp_len as u64, started);
-                        writer.write_all(&outbuf)?;
-                        writer.flush()?;
-                        continue;
-                    }
-                };
-                match resp {
-                    Some(resp) => {
-                        let t0 = std::time::Instant::now();
-                        let resp_len = frame_into(&mut outbuf, FLAG_RESPONSE, &resp);
-                        obs.record_serialize(resp_len as u64, t0);
-                        obs.record_call(inbuf.len() as u64, resp_len as u64, started);
-                        writer.write_all(&outbuf)?;
-                        writer.flush()?;
-                    }
-                    None => {
-                        obs.record_call(inbuf.len() as u64, 0, started);
-                        write_frame(&mut writer, FLAG_EMPTY, b"")?
+                FLAG_CALL => {
+                    let (resp, _hop) = match text {
+                        Ok(text) => site.dispatch(text),
+                        // A garbage payload answers with a fault frame
+                        // (the connection stays usable) instead of
+                        // tearing the whole persistent session down.
+                        Err(_) => (
+                            Some(SoapFault::client("frame payload not utf-8").to_envelope()),
+                            None,
+                        ),
+                    };
+                    match resp {
+                        Some(resp) => {
+                            let t0 = Instant::now();
+                            let resp_len = frame_into(&mut outbuf, FLAG_RESPONSE, &resp);
+                            site.obs.record_serialize(resp_len as u64, t0);
+                            site.obs
+                                .record_call(inbuf.len() as u64, resp_len as u64, started);
+                            writer.write_all(&outbuf)?;
+                            writer.flush()?;
+                        }
+                        None => {
+                            site.obs.record_call(inbuf.len() as u64, 0, started);
+                            writer.write_all(&EMPTY_RESPONSE)?;
+                            writer.flush()?;
+                        }
                     }
                 }
-            }
-            other => {
-                return Err(TransportError::Protocol(format!(
-                    "unexpected client frame flags {other}"
-                )))
+                // Unknown client frame flags: drop the connection.
+                _ => return Ok(()),
             }
         }
     }
@@ -304,8 +216,19 @@ impl FramedClient {
 mod tests {
     use super::*;
     use crate::endpoint::FnEndpoint;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use wsrf_xml::Element;
+
+    fn write_frame(w: &mut impl Write, flags: u8, payload: &[u8]) -> io::Result<()> {
+        let mut head = [0u8; 9];
+        head[..4].copy_from_slice(MAGIC);
+        head[4] = flags;
+        head[5..9].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+        w.write_all(&head)?;
+        w.write_all(payload)?;
+        w.flush()
+    }
 
     #[test]
     fn persistent_connection_carries_many_calls() {

@@ -17,6 +17,16 @@ cargo test -q --offline
 echo "== cargo fmt --check"
 cargo fmt --check
 
+echo "== cargo clippy --workspace --all-targets -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== fig3bench: build + unit tests"
+# The end-to-end benchmark is its own package outside the workspace, so
+# the workspace build above never compiles it; a transport API change
+# that breaks it would otherwise only surface when the benchmark runs.
+cargo build --release --offline --manifest-path fig3bench/Cargo.toml
+cargo test --release --offline --manifest-path fig3bench/Cargo.toml
+
 echo "== cargo test -q --release --offline scale_stress"
 # The contention-sensitive suites (scale stress, per-resource lease
 # races) only exercise real interleavings at release-mode speed.
@@ -33,6 +43,12 @@ cargo test -q --release --offline --test wirepath_renders
 cargo test -q --release --offline --test wirepath_inbound
 cargo test -q --release --offline -p wsrf-xml --test proptest_roundtrip
 
+echo "== cargo test -q --release --offline hostile_socket"
+# Drip-fed and oversize-announcing peers against both socket servers
+# and the HTTP client: cut off within the read timeout, no allocation
+# beyond the bytes received.
+cargo test -q --release --offline --test hostile_socket
+
 echo "== cargo test -q --release --offline durability + failover_chaos"
 # The durability suite replays proptest-corrupted WALs and the chaos
 # suite kills the primary scheduler at every Figure 3 step; release
@@ -44,8 +60,7 @@ cargo test -q --release --offline --test failover_chaos
 echo "== cargo test -q --release --offline broker_fanout + E13 smoke"
 # The broker suite races subscription lifecycle ops against concurrent
 # publishes (release mode for real interleavings); the E13 smoke row
-# drives both fan-out paths (sharded index and legacy rescan) open-loop
-# at 1k subscriptions.
+# drives the sharded fan-out open-loop at 1k subscriptions.
 cargo test -q --release --offline --test broker_fanout
 cargo run -q --release --offline -p bench --bin harness -- --e13-smoke >/dev/null
 

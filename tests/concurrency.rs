@@ -2,6 +2,8 @@
 //! leases (no lost updates), read/write op classification (reads never
 //! save), and destroy-vs-dispatch interleavings.
 
+#![allow(clippy::result_large_err)]
+
 use std::sync::Arc;
 
 use wsrf_grid::prelude::*;

@@ -13,6 +13,8 @@ use std::time::Duration;
 use wsrf_grid::prelude::*;
 use wsrf_grid::soap::{ns, MessageInfo};
 use wsrf_grid::transport::http::{http_call, HttpSoapServer};
+use wsrf_grid::transport::server::ServerConfig;
+use wsrf_grid::transport::tcpframe::{FramedClient, FramedServer};
 use wsrf_grid::wsrf::container::ServiceBuilder;
 use wsrf_grid::wsrf::porttypes::wsrp_action;
 use wsrf_grid::wsrf::{MemoryStore, PropertyDoc};
@@ -218,7 +220,15 @@ fn trace_propagates_over_real_http_transport() {
     let mut doc = PropertyDoc::new();
     doc.set_i64(QName::new(wsrf_grid::testbed::UVACG, "Count"), 0);
     let epr = svc.core().create_resource_with_key("c1", doc).unwrap();
-    let server = HttpSoapServer::start_traced(svc.clone(), &registry, clock.clone()).unwrap();
+    let server = HttpSoapServer::start_with(
+        svc.clone(),
+        &ServerConfig {
+            metrics: registry.clone(),
+            clock: clock.clone(),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
 
     let tracer = registry.tracer().clone();
     let mut root = tracer.start_root("client.bump", "Client", &clock);
@@ -252,4 +262,161 @@ fn trace_propagates_over_real_http_transport() {
     assert_eq!(serve.parent_id, roots[0].span_id, "hop under client root");
     let dispatch = snap.find("dispatch.Bump").expect("dispatch span");
     assert_eq!(dispatch.parent_id, serve.span_id, "dispatch under hop");
+}
+
+/// A traced `Counter` service (one `Bump` resource op, resource `c1`)
+/// on an in-process network sharing `registry`'s tracer.
+fn traced_counter(
+    clock: &Clock,
+    registry: &Arc<MetricsRegistry>,
+) -> (Arc<wsrf_grid::wsrf::container::Service>, EndpointReference) {
+    let net = wsrf_grid::transport::InProcNetwork::with_metrics(
+        clock.clone(),
+        NetConfig::default(),
+        registry,
+    );
+    let svc = ServiceBuilder::new(
+        "Counter",
+        "inproc://local/Counter",
+        Arc::new(MemoryStore::new()),
+    )
+    .operation("Bump", |ctx| {
+        let doc = ctx.resource_mut()?;
+        let q = QName::new(wsrf_grid::testbed::UVACG, "Count");
+        let n = doc.i64(&q).unwrap_or(0) + 1;
+        doc.set_i64(q, n);
+        Ok(El::new(wsrf_grid::testbed::UVACG, "BumpResponse").text(n.to_string()))
+    })
+    .build(clock.clone(), net);
+    svc.register(&svc.core().net);
+    let mut doc = PropertyDoc::new();
+    doc.set_i64(QName::new(wsrf_grid::testbed::UVACG, "Count"), 0);
+    let epr = svc.core().create_resource_with_key("c1", doc).unwrap();
+    (svc, epr)
+}
+
+/// A `Bump` request for `epr`, stamped with trace header `tc`.
+fn traced_bump(epr: EndpointReference, tc: TraceContext) -> Envelope {
+    let mut env = Envelope::new(El::new(wsrf_grid::testbed::UVACG, "Bump"));
+    MessageInfo::request(
+        epr,
+        wsrf_grid::wsrf::container::action_uri("Counter", "Bump"),
+    )
+    .apply(&mut env);
+    tc.stamp(&mut env);
+    env
+}
+
+/// The finished spans of `trace_id`, once the server's hop span (which
+/// closes after the response is written) has landed.
+fn settled_trace(tracer: &Tracer, trace_id: u64) -> TraceSnapshot {
+    let mut snap = tracer.trace(trace_id);
+    for _ in 0..200 {
+        if snap.find("transport.serve").is_some() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        snap = tracer.trace(trace_id);
+    }
+    snap
+}
+
+#[test]
+fn trace_propagates_over_real_soap_tcp_transport() {
+    // The soap.tcp twin of the HTTP test: the shared server loop opens
+    // the same hop span for framed requests.
+    let clock = Clock::manual();
+    let registry = MetricsRegistry::with_tracing(ObsConfig::enabled(), TraceConfig::enabled());
+    let (svc, epr) = traced_counter(&clock, &registry);
+    let config = ServerConfig {
+        metrics: registry.clone(),
+        clock: clock.clone(),
+        ..ServerConfig::default()
+    };
+    let server = FramedServer::start_with(svc, &config).unwrap();
+    let client = FramedClient::connect(&server.authority()).unwrap();
+
+    let tracer = registry.tracer().clone();
+    let root = tracer.start_root("client.bump", "Client", &clock);
+    let ctx = root.context();
+    let tc = TraceContext::new(ctx.trace_id, ctx.span_id, ctx.sampled);
+    let resp = client.call(&traced_bump(epr, tc)).unwrap();
+    assert!(!resp.is_fault(), "{:?}", resp.fault());
+    root.finish();
+
+    let snap = settled_trace(&tracer, ctx.trace_id);
+    let roots = snap.roots();
+    assert_eq!(roots.len(), 1, "tree:\n{}", snap.render_tree());
+    let serve = snap.find("transport.serve").expect("soap.tcp hop span");
+    assert_eq!(&*serve.service, "tcpframe");
+    assert_eq!(serve.parent_id, roots[0].span_id, "hop under client root");
+    let dispatch = snap.find("dispatch.Bump").expect("dispatch span");
+    assert_eq!(dispatch.parent_id, serve.span_id, "dispatch under hop");
+}
+
+#[test]
+fn nested_inproc_dispatch_parents_under_its_caller_not_the_hop() {
+    // A socket request whose handler calls another service in process:
+    // the hop span is offered to the first dispatch only, so the
+    // nested call nests under its caller's dispatch (via the inproc
+    // hop), exactly as its header says.
+    let clock = Clock::manual();
+    let registry = MetricsRegistry::with_tracing(ObsConfig::enabled(), TraceConfig::enabled());
+    let (counter, counter_epr) = traced_counter(&clock, &registry);
+    let net = counter.core().net.clone();
+    let front = ServiceBuilder::new(
+        "Front",
+        "inproc://local/Front",
+        Arc::new(MemoryStore::new()),
+    )
+    .static_operation("Relay", move |ctx| {
+        let tc = ctx.trace.expect("relay request is traced");
+        let env = traced_bump(counter_epr.clone(), tc);
+        let resp = ctx
+            .core
+            .net
+            .call(&counter_epr.address, env)
+            .map_err(|e| wsrf_grid::wsrf::faults::bad_request(&e.to_string()))?;
+        Ok(El::new(wsrf_grid::testbed::UVACG, "RelayResponse").text(resp.body.text_content()))
+    })
+    .build(clock.clone(), net);
+    let config = ServerConfig {
+        metrics: registry.clone(),
+        clock: clock.clone(),
+        ..ServerConfig::default()
+    };
+    let server = HttpSoapServer::start_with(front.clone(), &config).unwrap();
+
+    let tracer = registry.tracer().clone();
+    let root = tracer.start_root("client.relay", "Client", &clock);
+    let ctx = root.context();
+    let mut env = Envelope::new(El::new(wsrf_grid::testbed::UVACG, "Relay"));
+    MessageInfo::request(
+        front.core().service_epr(),
+        wsrf_grid::wsrf::container::action_uri("Front", "Relay"),
+    )
+    .apply(&mut env);
+    TraceContext::new(ctx.trace_id, ctx.span_id, ctx.sampled).stamp(&mut env);
+    let resp = http_call(&server.authority(), "Front", &env).unwrap();
+    assert_eq!(resp.body.text_content(), "1", "{:?}", resp.fault());
+    root.finish();
+
+    let snap = settled_trace(&tracer, ctx.trace_id);
+    let tree = snap.render_tree();
+    let serve = snap.find("transport.serve").expect("http hop span");
+    let relay = snap.find("dispatch.Relay").expect("outer dispatch");
+    let call = snap.find("transport.call").expect("inproc hop");
+    let bump = snap.find("dispatch.Bump").expect("nested dispatch");
+    assert_eq!(
+        relay.parent_id, serve.span_id,
+        "outer dispatch took the hop\n{tree}"
+    );
+    assert_eq!(
+        call.parent_id, relay.span_id,
+        "inproc hop under its caller\n{tree}"
+    );
+    assert_eq!(
+        bump.parent_id, call.span_id,
+        "nested dispatch under its hop\n{tree}"
+    );
 }

@@ -16,6 +16,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use wsrf_grid::prelude::*;
 use wsrf_grid::soap::{ns, MessageInfo};
 use wsrf_grid::transport::http::{http_call, HttpSoapServer};
+use wsrf_grid::transport::server::ServerConfig;
 use wsrf_grid::transport::tcpframe::{FramedClient, FramedServer};
 use wsrf_grid::wsrf::container::{action_uri, Service, ServiceBuilder};
 use wsrf_grid::wsrf::porttypes::wsrp_action;
@@ -32,7 +33,11 @@ fn lock() -> MutexGuard<'static, ()> {
 /// A Job service with one keyed resource (`job-1`, Status=Running).
 fn job_service() -> (Arc<Service>, EndpointReference) {
     let clock = Clock::manual();
-    let net = InProcNetwork::new(clock.clone());
+    job_service_on(clock.clone(), InProcNetwork::new(clock))
+}
+
+/// [`job_service`] on a given network (and so its registry/tracer).
+fn job_service_on(clock: Clock, net: Arc<InProcNetwork>) -> (Arc<Service>, EndpointReference) {
     let mut doc = PropertyDoc::new();
     doc.set_text(QName::new(ns::UVACG, "JobName"), "wire-job");
     doc.set_text(QName::new(ns::UVACG, "Status"), "Running");
@@ -138,6 +143,66 @@ fn transport_read_exchanges_build_only_the_client_response_dom() {
         1,
         "http read exchange: client response parse only"
     );
+}
+
+#[test]
+fn traced_http_read_builds_only_the_client_response_dom() {
+    let _g = lock();
+    // Tracing adds a hop span, not a parse: the server reads the trace
+    // header off the wire and still hands the endpoint the borrowed
+    // buffer, so a traced read costs the same one DOM as an untraced
+    // one — the client parsing the reply.
+    let clock = Clock::manual();
+    let registry = MetricsRegistry::with_tracing(ObsConfig::enabled(), TraceConfig::enabled());
+    let net = InProcNetwork::with_metrics(clock.clone(), NetConfig::default(), &registry);
+    let (svc, epr) = job_service_on(clock.clone(), net);
+    let config = ServerConfig {
+        metrics: registry.clone(),
+        clock: clock.clone(),
+        ..ServerConfig::default()
+    };
+    let hs = HttpSoapServer::start_with(svc, &config).unwrap();
+
+    let root = registry
+        .tracer()
+        .start_root("client.read", "Client", &clock);
+    let c = root.context();
+    let mut env = Envelope::new(
+        El::new(ns::WSRP, "GetResourceProperty").text(format!("{{{}}}Status", ns::UVACG)),
+    );
+    MessageInfo::request(epr, wsrp_action("GetResourceProperty")).apply(&mut env);
+    TraceContext::new(c.trace_id, c.span_id, c.sampled).stamp(&mut env);
+    http_call(&hs.authority(), "Job", &env).unwrap(); // warm
+    let doms = dom_build_count();
+    let resp = http_call(&hs.authority(), "Job", &env).unwrap();
+    assert_eq!(resp.body.text_content(), "Running");
+    assert_eq!(
+        dom_build_count() - doms,
+        1,
+        "traced http read exchange: client response parse only"
+    );
+    root.finish();
+
+    // Both exchanges really were traced: hop and dispatch spans landed.
+    let tracer = registry.tracer();
+    let serves = || {
+        let snap = tracer.trace(c.trace_id);
+        snap.spans
+            .iter()
+            .filter(|s| &*s.name == "transport.serve")
+            .count()
+    };
+    for _ in 0..200 {
+        if serves() == 2 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(serves(), 2);
+    assert!(tracer
+        .trace(c.trace_id)
+        .find("dispatch.GetResourceProperty")
+        .is_some());
 }
 
 #[test]
