@@ -223,6 +223,30 @@ pub enum JobSetOutcome {
     Failed(Box<BaseFault>),
 }
 
+/// `m.topic.is(s)`, rejecting first by segment count alone: n segments
+/// join with n - 1 separators, so a topic with more segments than `s`
+/// has `/`s plus one cannot match. The count sits inline in each
+/// message, so a scan of the listener's log reads the segments of few
+/// messages.
+fn topic_is(s: &str) -> impl Fn(&NotificationMessage) -> bool + '_ {
+    let max_segments = s.matches('/').count() + 1;
+    move |m| m.topic.len() <= max_segments && m.topic.is(s)
+}
+
+/// The outcome a terminal event reports: `completed` is its topic
+/// string for a successful set; anything else is `<topic>/failed`.
+fn terminal_outcome(m: &NotificationMessage, completed: &str) -> JobSetOutcome {
+    if m.topic.is(completed) {
+        return JobSetOutcome::Completed;
+    }
+    let fault = m
+        .payload
+        .find(wsrf_soap::ns::WSBF, "BaseFault")
+        .map(BaseFault::from_element)
+        .unwrap_or_else(|| BaseFault::new("uvacg:JobSetFailed", "job set failed"));
+    JobSetOutcome::Failed(Box::new(fault))
+}
+
 /// A submitted job set, as seen from the client.
 #[derive(Clone)]
 pub struct JobSetHandle {
@@ -246,35 +270,34 @@ impl std::fmt::Debug for JobSetHandle {
 
 impl JobSetHandle {
     /// Non-blocking: the outcome if the terminal event has arrived.
+    /// One scan of the listener's log that clones only the terminal
+    /// event, so a poll costs the same however much history the
+    /// listener holds.
     pub fn outcome(&self) -> Option<JobSetOutcome> {
-        let completed = format!("{}/completed", self.topic);
-        let failed = format!("{}/failed", self.topic);
-        for m in self.listener.received() {
-            let t = m.topic.to_string();
-            if t == completed {
-                return Some(JobSetOutcome::Completed);
-            }
-            if t == failed {
-                let fault = m
-                    .payload
-                    .find(wsrf_soap::ns::WSBF, "BaseFault")
-                    .map(BaseFault::from_element)
-                    .unwrap_or_else(|| BaseFault::new("uvacg:JobSetFailed", "job set failed"));
-                return Some(JobSetOutcome::Failed(Box::new(fault)));
-            }
-        }
-        None
+        let (completed, failed) = self.terminal_topics();
+        let (is_completed, is_failed) = (topic_is(&completed), topic_is(&failed));
+        self.listener
+            .first(|m| is_completed(m) || is_failed(m))
+            .map(|m| terminal_outcome(&m, &completed))
     }
 
     /// Blocking wait (real time) for the outcome; only meaningful on a
     /// scaled clock. Returns `None` on timeout.
     pub fn wait(&self, timeout: std::time::Duration) -> Option<JobSetOutcome> {
-        let topic = self.topic.clone();
-        self.listener.wait_until(timeout, move |m| {
-            let t = m.topic.to_string();
-            t == format!("{topic}/completed") || t == format!("{topic}/failed")
-        })?;
-        self.outcome()
+        let (completed, failed) = self.terminal_topics();
+        let (is_completed, is_failed) = (topic_is(&completed), topic_is(&failed));
+        self.listener
+            .wait_until(timeout, |m| is_completed(m) || is_failed(m))
+            .map(|m| terminal_outcome(&m, &completed))
+    }
+
+    /// `<topic>/completed` and `<topic>/failed`: the set's terminal
+    /// events. The earliest of the two in the log decides the outcome.
+    fn terminal_topics(&self) -> (String, String) {
+        (
+            format!("{}/completed", self.topic),
+            format!("{}/failed", self.topic),
+        )
     }
 
     /// Blocking wait (real time) for a job's `started` event (scaled
@@ -282,21 +305,17 @@ impl JobSetHandle {
     pub fn wait_job_started(&self, job: &str, timeout: std::time::Duration) -> bool {
         let topic = format!("{}/job/{job}/started", self.topic);
         self.listener
-            .wait_until(timeout, move |m| m.topic.to_string() == topic)
+            .wait_until(timeout, topic_is(&topic))
             .is_some()
     }
 
     /// All events observed for this job set so far.
     pub fn events(&self) -> Vec<NotificationMessage> {
         let prefix = format!("{}/", self.topic);
-        self.listener
-            .received()
-            .into_iter()
-            .filter(|m| {
-                let t = m.topic.to_string();
-                t == self.topic || t.starts_with(&prefix)
-            })
-            .collect()
+        self.listener.filter(|m| {
+            let t = m.topic.to_string();
+            t == self.topic || t.starts_with(&prefix)
+        })
     }
 
     /// The working-directory EPR broadcast for a job (step 9): "The
@@ -307,13 +326,7 @@ impl JobSetHandle {
     /// when the event is not in this listener's history — the §5
     /// rediscovery path for handles restored after a client restart.
     pub fn job_dir(&self, job: &str) -> Option<EndpointReference> {
-        let topic = format!("{}/job/{job}/dir", self.topic);
-        let from_events = self
-            .listener
-            .received()
-            .iter()
-            .find(|m| m.topic.to_string() == topic)
-            .and_then(|m| EndpointReference::from_element(&m.payload).ok());
+        let from_events = self.job_event_epr(job, "dir");
         if from_events.is_some() {
             return from_events;
         }
@@ -347,11 +360,15 @@ impl JobSetHandle {
 
     /// The job EPR broadcast when a job starts.
     pub fn job_epr(&self, job: &str) -> Option<EndpointReference> {
-        let topic = format!("{}/job/{job}/started", self.topic);
+        self.job_event_epr(job, "started")
+    }
+
+    /// The EPR carried by the earliest `<topic>/job/<job>/<event>`
+    /// notification in the listener's log.
+    fn job_event_epr(&self, job: &str, event: &str) -> Option<EndpointReference> {
+        let topic = format!("{}/job/{job}/{event}", self.topic);
         self.listener
-            .received()
-            .iter()
-            .find(|m| m.topic.to_string() == topic)
+            .first(topic_is(&topic))
             .and_then(|m| EndpointReference::from_element(&m.payload).ok())
     }
 

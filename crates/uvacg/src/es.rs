@@ -37,6 +37,9 @@ use wsrf_xml::{Element, QName};
 use crate::fss;
 use crate::security::GridSecurity;
 
+/// The service name, which is also the store namespace of its jobs.
+const SERVICE: &str = "Execution";
+
 /// The job key reference property (Clark form).
 pub fn job_key_property() -> String {
     format!("{{{UVACG}}}JobKey")
@@ -90,10 +93,17 @@ struct PendingJob {
     trace: Option<TraceContext>,
 }
 
+/// A `Run` attempt's identity across scheduler retries.
+type AttemptId = (String, String);
+
 struct EsRuntime {
     pending: Mutex<HashMap<String, PendingJob>>,
     spawner: Arc<ProcSpawn>,
     broker: Option<EndpointReference>,
+    /// `(Topic, JobName)` → job key of every `Run` this machine
+    /// accepted, so a re-issued `Run` loads one resource instead of
+    /// all of them. A hint only: the store stays the truth.
+    attempts: Mutex<HashMap<AttemptId, String>>,
 }
 
 /// Build the Execution Service for one machine.
@@ -104,6 +114,7 @@ pub fn execution_service(cfg: EsConfig, clock: Clock, net: Arc<InProcNetwork>) -
         pending: Mutex::new(HashMap::new()),
         spawner: cfg.spawner.clone(),
         broker: cfg.broker.clone(),
+        attempts: Mutex::new(scan_attempts(cfg.store.as_ref())),
     });
 
     let rt_run = runtime.clone();
@@ -114,7 +125,7 @@ pub fn execution_service(cfg: EsConfig, clock: Clock, net: Arc<InProcNetwork>) -
     let fss_address = cfg.fss_address.clone();
     let security = cfg.security.clone();
 
-    ServiceBuilder::new("Execution", address, cfg.store)
+    ServiceBuilder::new(SERVICE, address, cfg.store)
         .key_property(job_key_property())
         .static_operation("Run", move |ctx| {
             run_op(ctx, &machine, &fss_address, &security, &rt_run)
@@ -176,6 +187,50 @@ pub fn execution_service(cfg: EsConfig, clock: Clock, net: Arc<InProcNetwork>) -
         .build(clock, net)
 }
 
+/// Index the job resources already in `store`: a service rebuilt over
+/// the same store still recognises the previous instance's attempts.
+fn scan_attempts(store: &dyn ResourceStore) -> HashMap<AttemptId, String> {
+    let mut attempts = HashMap::new();
+    for key in store.list(SERVICE) {
+        let Ok(doc) = store.load(SERVICE, &key) else {
+            continue;
+        };
+        if let (Some(topic), Some(job_name)) = (doc.text(&q("Topic")), doc.text(&q("JobName"))) {
+            if !topic.is_empty() {
+                attempts.insert((topic, job_name), key);
+            }
+        }
+    }
+    attempts
+}
+
+/// The `RunResponse` of an earlier `Run` of the same attempt, if its
+/// job resource still exists. A stale index entry (the resource was
+/// destroyed, or no longer matches) is dropped.
+fn earlier_attempt(core: &ServiceCore, rt: &EsRuntime, id: &AttemptId) -> Option<Element> {
+    let key = rt.attempts.lock().get(id).cloned()?;
+    match core.store.load(&core.name, &key) {
+        Ok(doc)
+            if doc.text(&q("Topic")).as_ref() == Some(&id.0)
+                && doc.text(&q("JobName")).as_ref() == Some(&id.1) =>
+        {
+            let mut resp = Element::new(UVACG, "RunResponse")
+                .child(core.epr_for(&key).to_element_named(UVACG, "JobEpr"));
+            if let Some(wd) = doc.get(&q("WorkingDirectory")).first() {
+                resp.push_child(wd.clone());
+            }
+            Some(resp)
+        }
+        _ => {
+            let mut attempts = rt.attempts.lock();
+            if attempts.get(id) == Some(&key) {
+                attempts.remove(id);
+            }
+            None
+        }
+    }
+}
+
 /// Decode credentials from the security header (or the plaintext
 /// fallback in insecure deployments).
 fn credentials(
@@ -235,23 +290,12 @@ fn run_op(
     // Idempotent Run: a scheduler retrying after failover must not
     // stage or spawn a job this machine already accepted. The
     // (Topic, JobName) pair identifies the attempt across retries.
-    if !topic.is_empty() {
-        let core = ctx.core.clone();
-        for key in core.store.list(&core.name) {
-            let Ok(doc) = core.store.load(&core.name, &key) else {
-                continue;
-            };
-            if doc.text(&q("Topic")).as_deref() == Some(topic.as_str())
-                && doc.text(&q("JobName")).as_deref() == Some(job_name.as_str())
-            {
-                let mut resp = Element::new(UVACG, "RunResponse")
-                    .child(core.epr_for(&key).to_element_named(UVACG, "JobEpr"));
-                if let Some(wd) = doc.get(&q("WorkingDirectory")).first() {
-                    resp.push_child(wd.clone());
-                }
-                return Ok(resp);
-            }
-        }
+    let attempt = (!topic.is_empty()).then(|| (topic.clone(), job_name.clone()));
+    if let Some(resp) = attempt
+        .as_ref()
+        .and_then(|id| earlier_attempt(ctx.core, rt, id))
+    {
+        return Ok(resp);
     }
 
     // Decode executable + inputs.
@@ -301,6 +345,9 @@ fn run_op(
     );
     let job_epr = ctx.core.create_resource(doc)?;
     let job_key = faults::require_key(&job_epr, "job")?;
+    if let Some(id) = attempt {
+        rt.attempts.lock().insert(id, job_key.clone());
+    }
 
     rt.pending.lock().insert(
         job_key.clone(),
@@ -752,6 +799,32 @@ mod tests {
         listener: NotificationListener,
         es_addr: String,
         fss_addr: String,
+        store: Arc<MemoryStore>,
+        broker: EndpointReference,
+    }
+
+    /// An Execution Service for `machine` over `store`, registered at
+    /// the fixture's ES address (replacing any earlier one).
+    fn deploy_es(
+        clock: &Clock,
+        net: &Arc<InProcNetwork>,
+        machine: &Arc<Machine>,
+        store: &Arc<MemoryStore>,
+        broker: &EndpointReference,
+    ) {
+        let es = execution_service(
+            EsConfig {
+                machine: machine.clone(),
+                spawner: Arc::new(ProcSpawn::new(machine.clone())),
+                fss_address: "inproc://m1/FileSystem".into(),
+                broker: Some(broker.clone()),
+                security: None,
+                store: store.clone(),
+            },
+            clock.clone(),
+            net.clone(),
+        );
+        es.register(net);
     }
 
     /// Full single-machine deployment: FSS + ES + broker + listener.
@@ -789,20 +862,9 @@ mod tests {
             None,
         )
         .unwrap();
-        let spawner = Arc::new(ProcSpawn::new(machine.clone()));
-        let es = execution_service(
-            EsConfig {
-                machine: machine.clone(),
-                spawner,
-                fss_address: "inproc://m1/FileSystem".into(),
-                broker: Some(broker.core().service_epr()),
-                security: None,
-                store: Arc::new(MemoryStore::new()),
-            },
-            clock.clone(),
-            net.clone(),
-        );
-        es.register(&net);
+        let store = Arc::new(MemoryStore::new());
+        let broker = broker.core().service_epr();
+        deploy_es(&clock, &net, &machine, &store, &broker);
         Fixture {
             clock,
             net,
@@ -810,6 +872,8 @@ mod tests {
             listener,
             es_addr: "inproc://m1/Execution".into(),
             fss_addr: "inproc://m1/FileSystem".into(),
+            store,
+            broker,
         }
     }
 
@@ -1110,6 +1174,62 @@ mod tests {
         assert_eq!(job_status(&f.net, &r1.job).unwrap(), status::EXITED);
         assert_eq!(job_status(&f.net, &r2.job).unwrap(), status::EXITED);
         assert_eq!(f.machine.utilization(), 0.0);
+    }
+
+    /// Job resources on the ES, and processes on its machine.
+    fn jobs_and_processes(f: &Fixture) -> (usize, usize) {
+        (f.store.list(SERVICE).len(), f.machine.cpu.running_count())
+    }
+
+    #[test]
+    fn rerun_of_the_same_attempt_returns_the_same_job() {
+        let f = fixture();
+        let req = basic_request(&f, &JobProgram::compute(100.0));
+        let first = run(&f.net, &f.es_addr, &req).unwrap();
+        let again = run(&f.net, &f.es_addr, &req).unwrap();
+        assert_eq!(again.job, first.job);
+        assert_eq!(again.workdir, first.workdir);
+        assert_eq!(jobs_and_processes(&f), (1, 1));
+        assert_eq!(f.listener.on(&"js/job/job1/started".into()).len(), 1);
+    }
+
+    #[test]
+    fn another_job_name_on_the_same_topic_is_a_new_attempt() {
+        let f = fixture();
+        let mut req = basic_request(&f, &JobProgram::compute(100.0));
+        let first = run(&f.net, &f.es_addr, &req).unwrap();
+        req.job_name = "job2".into();
+        let second = run(&f.net, &f.es_addr, &req).unwrap();
+        assert_ne!(second.job, first.job);
+        assert_eq!(jobs_and_processes(&f), (2, 2));
+    }
+
+    #[test]
+    fn rerun_after_destroy_creates_a_fresh_job() {
+        let f = fixture();
+        let req = basic_request(&f, &JobProgram::compute(100.0));
+        let first = run(&f.net, &f.es_addr, &req).unwrap();
+        wsrf_core::ResourceProxy::new(&f.net, first.job.clone())
+            .destroy()
+            .unwrap();
+        assert_eq!(jobs_and_processes(&f), (0, 1));
+        let again = run(&f.net, &f.es_addr, &req).unwrap();
+        assert_ne!(again.job, first.job);
+        assert_eq!(jobs_and_processes(&f), (1, 2));
+        // The fresh job is the one a further retry finds.
+        assert_eq!(run(&f.net, &f.es_addr, &req).unwrap().job, again.job);
+        assert_eq!(jobs_and_processes(&f), (1, 2));
+    }
+
+    #[test]
+    fn rebuilt_service_over_the_same_store_deduplicates() {
+        let f = fixture();
+        let req = basic_request(&f, &JobProgram::compute(100.0));
+        let first = run(&f.net, &f.es_addr, &req).unwrap();
+        deploy_es(&f.clock, &f.net, &f.machine, &f.store, &f.broker);
+        let again = run(&f.net, &f.es_addr, &req).unwrap();
+        assert_eq!(again.job, first.job);
+        assert_eq!(jobs_and_processes(&f), (1, 1));
     }
 
     #[test]

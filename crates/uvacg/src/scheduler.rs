@@ -27,7 +27,7 @@ use wsrf_core::container::{action_uri, Service, ServiceBuilder, ServiceCore};
 use wsrf_core::faults;
 use wsrf_core::properties::PropertyDoc;
 use wsrf_core::store::ResourceStore;
-use wsrf_obs::{SpanContext, TraceSnapshot};
+use wsrf_obs::{Histogram, SpanContext, TraceSnapshot};
 use wsrf_security::wsse::UsernameToken;
 use wsrf_soap::ns::{UVACG, WSSE};
 use wsrf_soap::{BaseFault, EndpointReference, Envelope, MessageInfo, SoapFault, TraceContext};
@@ -138,6 +138,9 @@ struct SchedInner {
     /// Invoked after every recorded Figure 3 step; the chaos harness
     /// uses it to crash the primary at an exact protocol point.
     step_hook: RwLock<Option<StepHook>>,
+    /// One `scheduler.step.<NN>_<name>_ns` histogram per Figure 3 step,
+    /// looked up once here rather than on every recorded step.
+    step_ns: [Histogram; 10],
 }
 
 /// A Figure 3 step observer: `(step, job)`.
@@ -234,6 +237,13 @@ pub fn scheduler_service(
         replicate: cfg.replicate,
         crashed: AtomicBool::new(false),
         step_hook: RwLock::new(None),
+        step_ns: std::array::from_fn(|i| {
+            net.metrics_registry().histogram(&format!(
+                "scheduler.step.{:02}_{}_ns",
+                i + 1,
+                STEP_NAMES[i]
+            ))
+        }),
     });
     let listener = NotificationListener::register(&net, &cfg.listener_address);
 
@@ -531,14 +541,7 @@ fn submit_op(
     }
 
     // Figure 3 step 1: the submission itself.
-    record_steps(
-        ctx.core,
-        inner,
-        &key,
-        "*",
-        &[(1, "submit")],
-        ctx.core.clock.now(),
-    );
+    record_steps(ctx.core, inner, &key, "*", &[1], ctx.core.clock.now());
 
     // Hook this job set's events.
     let core = ctx.core.clone();
@@ -556,11 +559,27 @@ fn submit_op(
         .child(Element::new(UVACG, "Topic").text(topic)))
 }
 
-/// Record Figure 3 steps for job set `key` at virtual time `at`: each
-/// becomes a `StepMetric` resource property on the job-set resource
-/// (`step`, `name`, `job`, `t` = virtual ns) and a
-/// `scheduler.step.<NN>_<name>_ns` histogram sample of the elapsed
-/// virtual time since submission. `job` is `"*"` for set-level steps.
+/// Figure 3's ten steps by number (step `n` is entry `n - 1`); each
+/// names its `scheduler.step.<NN>_<name>_ns` histogram.
+const STEP_NAMES: [&str; 10] = [
+    "submit",
+    "nis_poll",
+    "es_run",
+    "workdir",
+    "client_stage",
+    "grid_stage",
+    "upload_complete",
+    "spawn",
+    "epr_broadcast",
+    "exit_broadcast",
+];
+
+/// Record Figure 3 steps (numbered 1–10, see [`STEP_NAMES`]) for job
+/// set `key` at virtual time `at`: each becomes a `StepMetric` resource
+/// property on the job-set resource (`step`, `name`, `job`, `t` =
+/// virtual ns) and a `scheduler.step.<NN>_<name>_ns` histogram sample
+/// of the elapsed virtual time since submission. `job` is `"*"` for
+/// set-level steps.
 ///
 /// Must not be called while `inner.runs` is locked.
 fn record_steps(
@@ -568,7 +587,7 @@ fn record_steps(
     inner: &Arc<SchedInner>,
     key: &str,
     job: &str,
-    steps: &[(u8, &str)],
+    steps: &[u8],
     at: SimTime,
 ) {
     let (submitted, trace) = {
@@ -579,25 +598,21 @@ fn record_steps(
         }
     };
     if let Ok(mut doc) = core.store.load(&core.name, key) {
-        for (step, name) in steps {
+        for &step in steps {
             doc.insert(
                 q("StepMetric"),
                 Element::with_name(q("StepMetric"))
                     .attr("step", step.to_string())
-                    .attr("name", *name)
+                    .attr("name", STEP_NAMES[step as usize - 1])
                     .attr("job", job)
                     .attr("t", at.as_nanos().to_string()),
             );
         }
         let _ = core.store.save(&core.name, key, &doc);
     }
-    if core.metrics.is_enabled() {
-        let elapsed = at.since(submitted).as_nanos() as u64;
-        for (step, name) in steps {
-            core.metrics
-                .histogram(&format!("scheduler.step.{step:02}_{name}_ns"))
-                .record(elapsed);
-        }
+    let elapsed = at.since(submitted).as_nanos() as u64;
+    for &step in steps {
+        inner.step_ns[step as usize - 1].record(elapsed);
     }
     // Each step also lands in the span tree as an instant span under
     // the submission's dispatch span.
@@ -609,10 +624,10 @@ fn record_steps(
                 span_id: tc.span_id,
                 sampled: tc.sampled,
             };
-            for (step, name) in steps {
+            for &step in steps {
                 tracer.point(
                     parent,
-                    format!("step.{step:02}_{name}"),
+                    format!("step.{step:02}_{}", STEP_NAMES[step as usize - 1]),
                     "Scheduler",
                     at.as_nanos(),
                     &[("job", job)],
@@ -625,8 +640,8 @@ fn record_steps(
     // semantics the failover tests need ("crashed right after step N").
     let hook = inner.step_hook.read().clone();
     if let Some(hook) = hook {
-        for (step, _) in steps {
-            hook(*step, job);
+        for &step in steps {
+            hook(step, job);
         }
     }
 }
@@ -680,14 +695,7 @@ fn on_event(
                 }
                 // Figure 3 step 4: the working directory exists on the
                 // chosen machine's FSS.
-                record_steps(
-                    core,
-                    inner,
-                    key,
-                    &job_name,
-                    &[(4, "workdir")],
-                    core.clock.now(),
-                );
+                record_steps(core, inner, key, &job_name, &[4], core.clock.now());
             }
         }
         "started" => {
@@ -701,13 +709,7 @@ fn on_event(
                 inner,
                 key,
                 &job_name,
-                &[
-                    (5, "client_stage"),
-                    (6, "grid_stage"),
-                    (7, "upload_complete"),
-                    (8, "spawn"),
-                    (9, "epr_broadcast"),
-                ],
+                &[5, 6, 7, 8, 9],
                 core.clock.now(),
             );
         }
@@ -720,14 +722,7 @@ fn on_event(
             let cpu_used: Option<f64> = msg.payload.attr_value("cpu").and_then(|c| c.parse().ok());
             // Figure 3 step 10: the exit event reached us through the
             // broker re-broadcast.
-            record_steps(
-                core,
-                inner,
-                key,
-                &job_name,
-                &[(10, "exit_broadcast")],
-                core.clock.now(),
-            );
+            record_steps(core, inner, key, &job_name, &[10], core.clock.now());
             if inner.is_crashed() {
                 return; // killed right after step 10: the exit is lost here
             }
@@ -930,7 +925,7 @@ fn dispatch_ready(core: &Arc<ServiceCore>, inner: &Arc<SchedInner>, key: &str) {
         }
 
         // Figure 3 step 2: the NIS was polled for this job's placement.
-        record_steps(core, inner, key, &job_name, &[(2, "nis_poll")], t_nis);
+        record_steps(core, inner, key, &job_name, &[2], t_nis);
         if inner.is_crashed() {
             return; // killed after step 2: the Run is never issued
         }
@@ -967,14 +962,7 @@ fn dispatch_ready(core: &Arc<ServiceCore>, inner: &Arc<SchedInner>, key: &str) {
                         virt_ns: core.clock.now().since(t_run).as_nanos() as u64,
                     },
                 );
-                record_steps(
-                    core,
-                    inner,
-                    key,
-                    &job_name,
-                    &[(3, "es_run")],
-                    core.clock.now(),
-                );
+                record_steps(core, inner, key, &job_name, &[3], core.clock.now());
                 if inner.is_crashed() {
                     return; // killed after step 3: the reply is lost here
                 }

@@ -122,6 +122,27 @@ impl NotificationListener {
         true
     }
 
+    /// The earliest recorded message satisfying `pred`, if any. Scans
+    /// the log in place and clones only the match: the non-blocking
+    /// twin of [`Self::wait_until`].
+    pub fn first(
+        &self,
+        pred: impl Fn(&NotificationMessage) -> bool,
+    ) -> Option<NotificationMessage> {
+        self.inner.received.lock().iter().find(|m| pred(m)).cloned()
+    }
+
+    /// Every recorded message satisfying `pred`, in arrival order.
+    pub fn filter(&self, pred: impl Fn(&NotificationMessage) -> bool) -> Vec<NotificationMessage> {
+        self.inner
+            .received
+            .lock()
+            .iter()
+            .filter(|m| pred(m))
+            .cloned()
+            .collect()
+    }
+
     /// Block until some message satisfies `pred` (scans history too).
     pub fn wait_until(
         &self,
@@ -144,13 +165,7 @@ impl NotificationListener {
 
     /// Messages on a specific topic recorded so far.
     pub fn on(&self, topic: &TopicPath) -> Vec<NotificationMessage> {
-        self.inner
-            .received
-            .lock()
-            .iter()
-            .filter(|m| &m.topic == topic)
-            .cloned()
-            .collect()
+        self.filter(|m| &m.topic == topic)
     }
 }
 
@@ -261,6 +276,22 @@ mod tests {
         assert_eq!(l.drain().len(), 1);
         assert_eq!(l.count(), 0);
         assert_eq!(l.total(), 1);
+    }
+
+    #[test]
+    fn first_returns_the_earliest_match() {
+        let net = InProcNetwork::new(Clock::manual());
+        let l = NotificationListener::register(&net, "inproc://c/l");
+        for (topic, tag) in [("a", "A1"), ("b", "B"), ("a", "A2")] {
+            let msg = NotificationMessage::new(topic, Element::local(tag));
+            net.send_oneway("inproc://c/l", msg.to_envelope(&l.epr()))
+                .unwrap();
+        }
+        let first = l.first(|m| m.topic.is("a")).unwrap();
+        assert_eq!(first.payload.name.local, "A1");
+        assert!(l.first(|m| m.topic.is("c")).is_none());
+        assert_eq!(l.filter(|m| m.topic.is("a")).len(), 2);
+        assert_eq!(l.count(), 3, "first/filter do not consume the log");
     }
 
     #[test]

@@ -46,6 +46,26 @@ impl TopicPath {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
+
+    /// `self.to_string() == s`, without allocating. Segments may
+    /// themselves contain `/` (see [`Self::child`]), so the comparison
+    /// is against the joined string, not against `s`'s segments.
+    pub fn is(&self, s: &str) -> bool {
+        let mut rest = s;
+        for (i, seg) in self.0.iter().enumerate() {
+            if i > 0 {
+                let Some(r) = rest.strip_prefix('/') else {
+                    return false;
+                };
+                rest = r;
+            }
+            let Some(r) = rest.strip_prefix(seg.as_str()) else {
+                return false;
+            };
+            rest = r;
+        }
+        rest.is_empty()
+    }
 }
 
 impl fmt::Display for TopicPath {
@@ -267,6 +287,39 @@ mod tests {
         assert_eq!(t("a/b").child("c"), t("a/b/c"));
         assert_eq!(t("a/b").root(), "a");
         assert_eq!(t("a/b").to_string(), "a/b");
+    }
+
+    #[test]
+    fn is_agrees_with_to_string() {
+        let paths = [
+            t(""),
+            t("js/job"),
+            t("js/job/x"),
+            t("js/job/x/started"),
+            t("js/job").child("a/b"),
+        ];
+        let strings = [
+            "",
+            "js",
+            "js/",
+            "js/job",
+            "js/job/x",
+            "js/job/x/started",
+            "js/job/a",
+            "js/job/a/b",
+            "js/job/a/b/",
+            "/js/job",
+        ];
+        for p in &paths {
+            for s in strings {
+                assert_eq!(p.is(s), p.to_string() == s, "{p:?} vs {s:?}");
+            }
+        }
+        // A `/` inside a segment compares as text: the joined string
+        // matches, the equivalent parsed path is a different value.
+        let slashed = t("js/job").child("a/b");
+        assert!(slashed.is("js/job/a/b"));
+        assert_ne!(slashed, t("js/job/a/b"));
     }
 
     #[test]

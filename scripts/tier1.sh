@@ -14,6 +14,12 @@ cargo build --release --offline
 echo "== cargo test -q --offline"
 cargo test -q --offline
 
+echo "== cargo test -q --release --offline -p uvacg -p ws-notification"
+# The root `cargo test` runs only the root package's tests; the
+# testbed's and the notification layer's unit tests (the ES `Run`
+# dedupe, the listener lookups, topic matching) live in their crates.
+cargo test -q --release --offline -p uvacg -p ws-notification
+
 echo "== cargo fmt --check"
 cargo fmt --check
 
