@@ -4,8 +4,9 @@
 //! cargo run -p bench --bin harness --release
 //! ```
 //!
-//! Real-time numbers are medians over small in-process samples (the
-//! statistically careful runs live in `cargo bench`); virtual-time and
+//! Real-time numbers are medians (or minima of alternating blocks) over
+//! small in-process samples; the end-to-end Figure 3 run over real
+//! sockets, with its per-layer ledger, is `fig3bench`. Virtual-time and
 //! message-count numbers are exact model outputs.
 
 #![allow(clippy::result_large_err)]
@@ -188,44 +189,6 @@ fn e1_dispatch() {
             let _ = Envelope::parse(&resp.to_xml()).unwrap();
         });
         rows.push(vec!["dispatch + full wire roundtrip".into(), fmt_us(t)]);
-    }
-    // Ablation E1b: read-only dispatch under the two save policies.
-    for (label, policy) in [
-        (
-            "save-always (WSRF.NET)",
-            wsrf_core::container::SavePolicy::Always,
-        ),
-        (
-            "save-when-changed (ablation)",
-            wsrf_core::container::SavePolicy::WhenChanged,
-        ),
-    ] {
-        let clock = Clock::manual();
-        let net = InProcNetwork::new(clock.clone());
-        let svc = wsrf_core::container::ServiceBuilder::new(
-            "Abl",
-            "inproc://bench/Abl",
-            Arc::new(BlobStore::new()),
-        )
-        .save_policy(policy)
-        .operation("Peek", |ctx| {
-            let doc = ctx.resource_mut()?;
-            Ok(Element::new(UVACG, "PeekResponse")
-                .text(doc.text_local("Status").unwrap_or_default()))
-        })
-        .build(clock, net);
-        let epr = svc
-            .core()
-            .create_resource_with_key("r1", job_doc(8))
-            .unwrap();
-        let env = request(&epr, "Abl", "Peek", Element::new(UVACG, "Peek"));
-        let t = time_per_iter(10_000, || {
-            svc.dispatch(env.clone());
-        });
-        rows.push(vec![
-            format!("read-only dispatch, blob store, {label}"),
-            fmt_us(t),
-        ]);
     }
     print_table(
         "E1 — container dispatch pipeline (Figure 1)",
@@ -782,12 +745,12 @@ fn e9_security() {
 fn e10_contention() {
     // Contended same-resource dispatch, old pipeline vs new. "old" is
     // the pre-classification container: no per-resource leases, and
-    // every op — reads included — takes the write path through
-    // clone-for-diff and the save stage. "new" is the shipping
-    // pipeline: reads are classified, share a lease stripe and skip
-    // the save stage entirely; writes serialize on an exclusive
+    // every op — reads included — takes the write path through the
+    // save stage. "new" is the shipping pipeline: reads are
+    // classified, share a lease stripe and skip the save stage
+    // entirely; writes serialize on an exclusive
     // per-resource lease (the price of never losing an update).
-    use wsrf_core::container::{SavePolicy, Service, ServiceBuilder};
+    use wsrf_core::container::{Service, ServiceBuilder};
 
     fn peek(ctx: &mut wsrf_core::container::Ctx<'_>) -> Result<Element, wsrf_soap::BaseFault> {
         let doc = ctx.resource_mut()?;
@@ -798,7 +761,6 @@ fn e10_contention() {
         let clock = Clock::manual();
         let net = InProcNetwork::new(clock.clone());
         let b = ServiceBuilder::new("Ctr", "inproc://bench/Ctr", Arc::new(MemoryStore::new()))
-            .save_policy(SavePolicy::Always)
             .operation("Bump", |ctx| {
                 let doc = ctx.resource_mut()?;
                 let n = doc.i64(&q("Pid")).unwrap_or(0) + 1;
@@ -1595,7 +1557,7 @@ fn main() {
         return;
     }
     println!("# UVaCG reproduction — experiment harness");
-    println!("(scaled-down medians; `cargo bench` runs the full Criterion suite)");
+    println!("(scaled-down in-process medians; `fig3bench` measures Figure 3 end to end)");
     e1_dispatch();
     e2_properties();
     e3_jobsets();

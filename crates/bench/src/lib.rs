@@ -1,10 +1,8 @@
-//! Shared workload builders for the benchmark suite.
-//!
-//! Each experiment (E1–E10, see DESIGN.md / EXPERIMENTS.md) has a
-//! Criterion bench exercising the *real* software costs and, where the
-//! quantity of interest is modeled (virtual) time or message traffic,
-//! a row generator used by the `harness` binary to print the
-//! EXPERIMENTS.md tables.
+//! Shared workload builders for the `harness` binary, which prints the
+//! EXPERIMENTS.md tables (E1–E14, see DESIGN.md / EXPERIMENTS.md): the
+//! *real* software costs of each experiment and, where the quantity of
+//! interest is modeled (virtual) time or message traffic, the model's
+//! exact outputs.
 
 // See wsrf-core: fault values are rich by design; not hot paths.
 #![allow(clippy::result_large_err)]

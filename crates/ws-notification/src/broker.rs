@@ -70,9 +70,6 @@ fn p_paused() -> QName {
 /// Tunables of the broker fan-out path.
 #[derive(Clone)]
 pub struct BrokerConfig {
-    /// Worker threads draining per-consumer delivery queues on
-    /// non-manual clocks (manual-clock delivery stays inline).
-    pub delivery_workers: usize,
     /// Consecutive transport failures after which a subscription is
     /// auto-paused (visible through its `Paused` resource property).
     pub autopause_after: u32,
@@ -88,7 +85,6 @@ pub struct BrokerConfig {
 impl Default for BrokerConfig {
     fn default() -> Self {
         BrokerConfig {
-            delivery_workers: 4,
             autopause_after: 3,
             current_cache_cap: 512,
             topic_root_cap: 64,
@@ -387,6 +383,10 @@ impl CurrentCache {
 /// How many queued deliveries a worker takes per queue visit.
 const DRAIN_BATCH: usize = 64;
 
+/// Worker threads draining per-consumer delivery queues on non-manual
+/// clocks (manual-clock delivery stays inline).
+const DELIVERY_WORKERS: usize = 4;
+
 struct Delivery {
     sub: Arc<CompiledSub>,
     msg: Arc<NotificationMessage>,
@@ -422,7 +422,6 @@ struct DeliveryFabric {
     /// virtual timestamp.
     events: EventLog,
     clock: Clock,
-    workers: usize,
     pool: OnceLock<ThreadPool>,
     queues: Mutex<HashMap<String, Arc<Mutex<ConsumerQueue>>>>,
 }
@@ -486,9 +485,8 @@ impl DeliveryFabric {
     }
 
     fn pool(&self) -> &ThreadPool {
-        let workers = self.workers;
         self.pool
-            .get_or_init(|| ThreadPool::new(workers, "broker-delivery"))
+            .get_or_init(|| ThreadPool::new(DELIVERY_WORKERS, "broker-delivery"))
     }
 
     fn enqueue(self: &Arc<Self>, delivery: Delivery) {
@@ -605,7 +603,6 @@ pub fn notification_broker_with(
         autopaused: registry.counter("broker.autopaused"),
         events: registry.events().clone(),
         clock: clock.clone(),
-        workers: config.delivery_workers.max(1),
         pool: OnceLock::new(),
         queues: Mutex::new(HashMap::new()),
     });

@@ -44,19 +44,6 @@ pub type ComputedProperty = Box<dyn Fn(&PropertyDoc, SimTime) -> Vec<Element> + 
 /// returns the response body element (or a fault).
 pub type OpHandler = Box<dyn Fn(&mut Ctx<'_>) -> Result<Element, BaseFault> + Send + Sync>;
 
-/// When the container writes resource state back after a handler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SavePolicy {
-    /// Save after every resource-scoped invocation, like WSRF.NET
-    /// ("any changes to those values will be saved back to the
-    /// database" — and unchanged ones too). The default.
-    #[default]
-    Always,
-    /// Keep a copy of the loaded document and save only when the
-    /// handler actually changed it — the ablation experiment E1b.
-    WhenChanged,
-}
-
 /// How an operation relates to resources.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
@@ -68,8 +55,8 @@ pub enum OpKind {
 }
 
 /// How an operation touches resource state. `Read` ops take a shared
-/// lease, never diff, and skip the save stage entirely; `Write` ops
-/// take an exclusive lease and run the full load→invoke→save pipeline.
+/// lease and skip the save stage entirely; `Write` ops take an
+/// exclusive lease and run the full load→invoke→save pipeline.
 /// Author operations default to `Write` (safe for arbitrary handlers);
 /// [`ServiceBuilder::read_operation`] opts a handler into `Read`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -532,7 +519,6 @@ fn doc_bytes(doc: &PropertyDoc) -> u64 {
 pub struct Service {
     core: Arc<ServiceCore>,
     ops: HashMap<String, Op>,
-    save_policy: SavePolicy,
     /// Per-resource read/write leases; `None` only when disabled via
     /// [`ServiceBuilder::without_leases`] (the lost-update ablation).
     leases: Option<LeaseTable>,
@@ -739,7 +725,6 @@ impl Service {
         // concurrent writers to one resource serialize instead of
         // last-save-wins. Acquisition wait is the contention metric.
         let mut loaded: Option<PropertyDoc> = None;
-        let mut before: Option<PropertyDoc> = None;
         let mut _lease: Option<LeaseGuard<'_>> = None;
         if op.kind == OpKind::Resource {
             let k = key
@@ -767,11 +752,6 @@ impl Service {
             if self.obs.enabled {
                 self.obs.load_bytes.add(doc_bytes(&doc));
             }
-            // Read ops never write back, so they never need the
-            // clone-for-diff copy either.
-            if self.save_policy == SavePolicy::WhenChanged && op.access == OpAccess::Write {
-                before = Some(doc.clone());
-            }
             loaded = Some(doc);
         }
         if let Some(l) = lap.as_mut() {
@@ -796,26 +776,23 @@ impl Service {
             l.lap(&self.core.clock, &self.obs.invoke);
         }
 
-        // (4) Save changed state back — Write ops only; Read ops skip
-        // the stage outright. By default writes save unconditionally,
-        // like WSRF.NET; SavePolicy::WhenChanged diffs first (ablation
-        // E1b).
+        // (4) Save state back — Write ops only, and unconditionally,
+        // like WSRF.NET ("any changes to those values will be saved
+        // back to the database" — and unchanged ones too); Read ops
+        // skip the stage outright.
         if let Some(doc) = loaded.filter(|_| op.access == OpAccess::Write) {
             let k = key.as_deref().expect("resource op had a key");
-            let unchanged = matches!(&before, Some(b) if *b == doc);
-            if !unchanged {
-                match self.core.store.save(&self.core.name, k, &doc) {
-                    Ok(()) => {
-                        if self.obs.enabled {
-                            self.obs.save_bytes.add(doc_bytes(&doc));
-                        }
+            match self.core.store.save(&self.core.name, k, &doc) {
+                Ok(()) => {
+                    if self.obs.enabled {
+                        self.obs.save_bytes.add(doc_bytes(&doc));
                     }
-                    // The handler (or a lifetime timer) destroyed the
-                    // resource mid-dispatch; dropping the write is
-                    // correct — saving would resurrect the row.
-                    Err(crate::store::StoreError::NotFound(_)) => {}
-                    Err(e) => return Err(faults::from_store(e)),
                 }
+                // The handler (or a lifetime timer) destroyed the
+                // resource mid-dispatch; dropping the write is
+                // correct — saving would resurrect the row.
+                Err(crate::store::StoreError::NotFound(_)) => {}
+                Err(e) => return Err(faults::from_store(e)),
             }
         }
         if let Some(l) = lap.as_mut() {
@@ -856,7 +833,6 @@ pub struct ServiceBuilder {
     standard_port_types: bool,
     lifetime_port_type: bool,
     leases: bool,
-    save_policy: SavePolicy,
     metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -878,7 +854,6 @@ impl ServiceBuilder {
             standard_port_types: true,
             lifetime_port_type: true,
             leases: true,
-            save_policy: SavePolicy::Always,
             metrics: None,
         }
     }
@@ -889,12 +864,6 @@ impl ServiceBuilder {
     /// the network was built with one).
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
-        self
-    }
-
-    /// Choose the state write-back policy (ablation experiment E1b).
-    pub fn save_policy(mut self, policy: SavePolicy) -> Self {
-        self.save_policy = policy;
         self
     }
 
@@ -1078,7 +1047,6 @@ impl ServiceBuilder {
         Arc::new(Service {
             core,
             ops,
-            save_policy: self.save_policy,
             leases: self.leases.then(LeaseTable::new),
             description,
             obs,
@@ -1360,7 +1328,7 @@ mod tests {
         assert!(core.store.exists("L2", key), "cancelled");
     }
 
-    /// Store wrapper counting save calls, for the SavePolicy tests.
+    /// Store wrapper counting save calls, for the save-stage test.
     struct CountingStore {
         inner: MemoryStore,
         saves: std::sync::atomic::AtomicUsize,
@@ -1399,7 +1367,7 @@ mod tests {
         }
     }
 
-    fn policy_fixture(policy: SavePolicy) -> (Arc<Service>, Arc<CountingStore>, EndpointReference) {
+    fn counting_fixture() -> (Arc<Service>, Arc<CountingStore>, EndpointReference) {
         let clock = Clock::manual();
         let net = InProcNetwork::new(clock.clone());
         let store = Arc::new(CountingStore {
@@ -1407,16 +1375,9 @@ mod tests {
             saves: std::sync::atomic::AtomicUsize::new(0),
         });
         let svc = ServiceBuilder::new("SP", "inproc://m/SP", store.clone())
-            .save_policy(policy)
             .operation("Read", |ctx| {
                 let doc = ctx.resource_mut()?;
                 Ok(Element::new(UVACG, "R").text(doc.text_local("X").unwrap_or_default()))
-            })
-            .operation("Bump", |ctx| {
-                let doc = ctx.resource_mut()?;
-                let n = doc.i64(&q("X")).unwrap_or(0) + 1;
-                doc.set_i64(q("X"), n);
-                Ok(Element::new(UVACG, "B").text(n.to_string()))
             })
             .build(clock, net);
         let mut doc = PropertyDoc::new();
@@ -1426,8 +1387,8 @@ mod tests {
     }
 
     #[test]
-    fn save_always_writes_on_read_only_ops() {
-        let (svc, store, epr) = policy_fixture(SavePolicy::Always);
+    fn write_ops_save_even_when_state_is_unchanged() {
+        let (svc, store, epr) = counting_fixture();
         let resp = call(
             &svc,
             epr,
@@ -1436,43 +1397,6 @@ mod tests {
         );
         assert!(!resp.is_fault());
         assert_eq!(store.saves.load(std::sync::atomic::Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn save_when_changed_skips_clean_state_but_persists_mutations() {
-        let (svc, store, epr) = policy_fixture(SavePolicy::WhenChanged);
-        let resp = call(
-            &svc,
-            epr.clone(),
-            &action_uri("SP", "Read"),
-            Element::new(UVACG, "Read"),
-        );
-        assert!(!resp.is_fault());
-        assert_eq!(
-            store.saves.load(std::sync::atomic::Ordering::SeqCst),
-            0,
-            "clean: no save"
-        );
-        let resp = call(
-            &svc,
-            epr.clone(),
-            &action_uri("SP", "Bump"),
-            Element::new(UVACG, "Bump"),
-        );
-        assert_eq!(resp.body.text_content(), "1");
-        assert_eq!(
-            store.saves.load(std::sync::atomic::Ordering::SeqCst),
-            1,
-            "dirty: saved"
-        );
-        // The mutation really persisted.
-        let resp = call(
-            &svc,
-            epr,
-            &action_uri("SP", "Read"),
-            Element::new(UVACG, "Read"),
-        );
-        assert_eq!(resp.body.text_content(), "1");
     }
 
     #[test]

@@ -310,7 +310,7 @@ fn scan_body<'a>(p: &mut PullParser<'a>, wire: &'a str) -> Result<Option<BodySpa
 mod tests {
     use super::*;
     use crate::envelope::Envelope;
-    use wsrf_xml::{dom_build_count, Element};
+    use wsrf_xml::Element;
 
     fn request_wire() -> String {
         let to = EndpointReference::resource("inproc://m1/Exec", "{urn:k}JobKey", "j-7");
@@ -347,20 +347,6 @@ mod tests {
         let untraced = Envelope::new(Element::local("Op")).to_xml();
         assert_eq!(scan_trace(&untraced), None);
         assert_eq!(scan_trace("not xml at all"), None);
-    }
-
-    #[test]
-    fn scan_builds_no_body_dom_until_asked() {
-        let wire = request_wire();
-        let before = dom_build_count();
-        let lazy = LazyEnvelope::scan(&wire).unwrap();
-        let _ = lazy.body_text();
-        // ReplyTo is the only tree built by the scan; the body span
-        // stays raw even through body_text().
-        assert_eq!(dom_build_count() - before, 1);
-        let body = lazy.materialize_body().unwrap();
-        assert_eq!(dom_build_count() - before, 2);
-        assert_eq!(body, Envelope::parse(&wire).unwrap().body);
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //! container's pull-scan routing) only comes into play on the socket
 //! transports, which own real receive buffers.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::RwLock;
-use simclock::Clock;
+use parking_lot::{Mutex, RwLock};
+use simclock::{Clock, SimTime};
 use wsrf_obs::{Histogram, HistogramFamily, MetricsRegistry};
 use wsrf_soap::{Envelope, Uri};
 
@@ -90,6 +90,17 @@ pub struct InProcNetwork {
     /// minting a histogram per name.
     obs_modeled_by_auth: HistogramFamily,
     pool: ThreadPool,
+    /// Deferred one-ways on non-manual clocks, one FIFO lane per
+    /// destination address. A lane is in the map exactly while one pool
+    /// worker drains it, so each destination handles its messages one
+    /// at a time and in send order, and a slow one holds one worker.
+    lanes: Arc<Mutex<HashMap<String, VecDeque<InFlight>>>>,
+}
+
+/// A deferred one-way and the virtual time its modeled transfer ends.
+struct InFlight {
+    env: Envelope,
+    due: SimTime,
 }
 
 impl InProcNetwork {
@@ -124,6 +135,7 @@ impl InProcNetwork {
             ),
             obs_registry: registry.clone(),
             pool: ThreadPool::new(4, "inproc-oneway"),
+            lanes: Arc::new(Mutex::new(HashMap::new())),
         })
     }
 
@@ -240,7 +252,8 @@ impl InProcNetwork {
     /// One-way message: returns as soon as the message is "on the
     /// wire". Routing failures surface immediately; delivery happens
     /// after the modeled transfer time (via the clock in manual mode,
-    /// via the worker pool in scaled mode).
+    /// via the destination's FIFO lane on the worker pool in scaled
+    /// mode).
     pub fn send_oneway(&self, to: &str, mut env: Envelope) -> Result<(), TransportError> {
         let started = std::time::Instant::now();
         let ep = self.lookup(to)?;
@@ -271,28 +284,41 @@ impl InProcNetwork {
         } else {
             normalize(to)
         };
+        if self.clock.is_manual() {
+            let registry = self.registry.clone();
+            let metrics = self.metrics.clone();
+            self.clock
+                .schedule(cost, move |_| deliver(&registry, &metrics, &addr, env));
+            return Ok(());
+        }
+        let due = self.clock.now() + cost;
+        {
+            let mut lanes = self.lanes.lock();
+            if let Some(lane) = lanes.get_mut(&addr) {
+                lane.push_back(InFlight { env, due });
+                return Ok(());
+            }
+            lanes.insert(addr.clone(), VecDeque::from([InFlight { env, due }]));
+        }
+        let lanes = self.lanes.clone();
         let registry = self.registry.clone();
         let metrics = self.metrics.clone();
-        let deliver = move || {
-            let found = registry.read().get(&addr).cloned();
-            match found {
-                Some(ep) => {
-                    ep.handle(env);
+        let clock = self.clock.clone();
+        self.pool.execute(move || loop {
+            let next = {
+                let mut lanes = lanes.lock();
+                let lane = lanes.get_mut(&addr).expect("a lane outlives its drainer");
+                match lane.pop_front() {
+                    Some(next) => next,
+                    None => {
+                        lanes.remove(&addr);
+                        return;
+                    }
                 }
-                None => {
-                    metrics.undeliverable.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        };
-        if self.clock.is_manual() {
-            self.clock.schedule(cost, move |_| deliver());
-        } else {
-            let clock = self.clock.clone();
-            self.pool.execute(move || {
-                clock.sleep(cost);
-                deliver();
-            });
-        }
+            };
+            clock.sleep(next.due.since(clock.now()));
+            deliver(&registry, &metrics, &addr, next.env);
+        });
         Ok(())
     }
 
@@ -322,6 +348,24 @@ impl InProcNetwork {
     fn charge(&self, cost: Duration) {
         if !cost.is_zero() && !self.clock.is_manual() {
             self.clock.sleep(cost);
+        }
+    }
+}
+
+/// Hand a deferred one-way to whatever endpoint holds `addr` now.
+fn deliver(
+    registry: &RwLock<HashMap<String, Arc<dyn Endpoint>>>,
+    metrics: &NetMetrics,
+    addr: &str,
+    env: Envelope,
+) {
+    let found = registry.read().get(addr).cloned();
+    match found {
+        Some(ep) => {
+            ep.handle(env);
+        }
+        None => {
+            metrics.undeliverable.fetch_add(1, Ordering::Relaxed);
         }
     }
 }

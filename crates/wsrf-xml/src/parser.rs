@@ -902,22 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_advance() {
-        let ev0 = parse_event_count();
-        let dom0 = dom_build_count();
-        parse("<a><b/>text</a>").unwrap();
-        // start a, start b, end b, text, end a = 5 events, 1 build.
-        assert_eq!(parse_event_count() - ev0, 5);
-        assert_eq!(dom_build_count() - dom0, 1);
-        let ev1 = parse_event_count();
-        let dom1 = dom_build_count();
-        let mut p = PullParser::new("<a><b/>text</a>");
-        while p.next_event().unwrap().is_some() {}
-        assert_eq!(parse_event_count() - ev1, 5);
-        assert_eq!(dom_build_count() - dom1, 0);
-    }
-
-    #[test]
     fn truncated_content_is_an_error_not_a_hang() {
         let mut p = PullParser::new("<a><b>unfinished");
         p.next_event().unwrap();

@@ -15,9 +15,11 @@ echo "== cargo test -q --offline"
 cargo test -q --offline
 
 echo "== cargo test -q --release --offline -p uvacg -p ws-notification"
-# The root `cargo test` runs only the root package's tests; the
-# testbed's and the notification layer's unit tests (the ES `Run`
-# dedupe, the listener lookups, topic matching) live in their crates.
+# The workspace's `default-members` make the `cargo test` above cover
+# every crate in debug mode; the testbed's and the notification
+# layer's unit tests (the ES `Run` dedupe, the listener lookups, topic
+# matching, the broker's queued delivery) run again at release-mode
+# speed, where the concurrent ones see real interleavings.
 cargo test -q --release --offline -p uvacg -p ws-notification
 
 echo "== cargo fmt --check"

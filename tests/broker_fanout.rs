@@ -204,6 +204,16 @@ fn slow_consumer_does_not_stall_the_fanout() {
         slow.wait_for(N, Duration::from_secs(30)),
         "slow consumer must still receive everything"
     );
+    // Per-consumer order holds end to end: publisher -> broker and
+    // broker -> consumer are each one FIFO.
+    let expected: Vec<String> = (0..N).map(|i| format!("t/{i}")).collect();
+    for (name, l) in [("fast", &fast), ("slow", &slow)] {
+        let topics: Vec<String> = l.received().iter().map(|m| m.topic.to_string()).collect();
+        assert_eq!(
+            topics, expected,
+            "{name} consumer saw publishes out of order"
+        );
+    }
 }
 
 /// Pause/resume racing the publish storm never wedges and ends in a
